@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-full build test race race-hot stress vet lint lint-tests bench bench-query bench-build bench-shard bench-update bench-mem
+.PHONY: check check-full build test race race-hot stress vet lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-e2e bench-compare
 
 # check is the fast pre-commit loop: vet, build, tests, the race detector
 # on the hot parallel packages only, and the project linter. Run it on
@@ -31,6 +31,14 @@ lint:
 lint-tests:
 	$(GO) run ./cmd/lsilint -tests -checks guardedby,snapshotsafe,noalloctrans \
 		./internal/engine/... ./internal/shard/... ./internal/server/... ./internal/rank/...
+
+# loc prints non-test Go lines per package outside bench/, total last —
+# the number simplification rounds are judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' \
+		-not -path './.bench_build/*' -not -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 build:
 	$(GO) build ./...
@@ -95,3 +103,17 @@ bench-update:
 # sizes (the -save-model / -load-model path).
 bench-mem:
 	$(GO) run ./cmd/lsibench -memperf -out BENCH_mem.json
+
+# bench-e2e runs the repository's benchmark (bench/README.md) — the four
+# workloads BENCHMARK.json names, end-to-end metrics only — appending one
+# result line per workload to BENCH_OUT. bench-compare applies the
+# manifest's bounds to two such result files: make bench-compare A=… B=…
+SEED ?= 1
+BENCH_OUT ?= bench/out/e2e.jsonl
+bench-e2e:
+	for w in topical-search blended-scan blended-batch churn-mixed; do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds 10 --trace 0 --out $(BENCH_OUT) || exit 1; \
+	done
+
+bench-compare:
+	$(GO) run ./bench -compare $(A) $(B)

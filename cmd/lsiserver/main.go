@@ -120,9 +120,8 @@ func main() {
 	if *loadModel != "" {
 		start := time.Now()
 		router, snapFile, err := shard.Restore(*loadModel, shard.Config{
-			Engine:           engCfg,
-			CompactThreshold: *compactAt,
-			Logf:             log.Printf,
+			Engine: engCfg,
+			Logf:   log.Printf,
 		}, *verifyModel)
 		if err != nil {
 			log.Fatal(err)

@@ -19,12 +19,14 @@ import (
 //	<p>U       float64 term factor, row-major
 //	<p>V       float64 document factor, row-major
 //
-// Unlike the stream format of WriteTo/ReadModel — which decodes every
-// float through a buffered reader — these sections are raw little-endian
-// payloads at 64-byte alignment, so ModelFromSnapshot can alias the two
-// large factors directly over a memory mapping: opening a model costs
-// the JSON header parse, not O(terms·k + docs·k) of copying, and factor
-// pages fault in only as queries touch them.
+// This is the one on-disk form of a model — an LSI database is a
+// long-lived artifact (the paper's TREC SVD took 18 hours to compute;
+// §5.3) — shared by the serving tier's snapshots (shard.Router) and the
+// library's index files (internal/index). The sections are raw
+// little-endian payloads at 64-byte alignment, so ModelFromSnapshot can
+// alias the two large factors directly over a memory mapping: opening a
+// model costs the JSON header parse, not O(terms·k + docs·k) of copying,
+// and factor pages fault in only as queries touch them.
 //
 // Aliasing read-only views is sound under the SharedClone contract
 // (core.go): every mutating method replaces factors wholesale rather
@@ -32,6 +34,13 @@ import (
 // the published snapshot a background updater clones from. The small
 // mutable slices (S, global — FoldInTerms appends to global) are copied
 // out, matching what SharedClone copies.
+
+// maxModelDim caps every dimension accepted from a snapshot header
+// before anything is sized from it: a corrupt (or hostile) header must
+// fail validation, not force a multi-gigabyte allocation — the same
+// failure mode as the MatrixMarket size line, capped by the same
+// two-orders-beyond-TREC limit (see sparse.maxMMDim).
+const maxModelDim = 1 << 24
 
 // snapshotHeader is the JSON "model" section. Dimensions are duplicated
 // from the section lengths so corruption of either is detectable.
@@ -98,8 +107,8 @@ func snapF64(f *snapfile.File, name string, want int) ([]float64, error) {
 // ModelFromSnapshot reassembles a model from the sections written by
 // SnapshotSections. U and V alias the snapshot's storage (possibly a
 // read-only mapping — valid only until the containing File is closed);
-// S and global are copied. Validation mirrors ReadModel: dimension caps
-// before any trust in the header, finite non-negative singular values.
+// S and global are copied. Validation: dimension caps before any trust
+// in the header, finite non-negative singular values.
 func ModelFromSnapshot(f *snapfile.File, prefix string) (*Model, error) {
 	headRaw, err := snapSection(f, prefix+"model")
 	if err != nil {

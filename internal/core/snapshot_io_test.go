@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/snapfile"
@@ -126,5 +130,157 @@ func TestSnapshotRejectsCorruptHeader(t *testing.T) {
 	}
 	if _, _, err := OpenSnapshotFile(path, false); err == nil {
 		t.Fatal("oversized header accepted")
+	}
+}
+
+// encodeModel is the in-memory form of WriteSnapshotFile: the container
+// image internal/index embeds a model in.
+func encodeModel(t *testing.T, m *Model) []byte {
+	t.Helper()
+	sections, err := m.SnapshotSections("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapfile.Encode(sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// readModel decodes a container image back into a model.
+func readModel(blob []byte) (*Model, error) {
+	f, err := snapfile.OpenBytes(blob)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.VerifyAll(); err != nil {
+		return nil, err
+	}
+	return ModelFromSnapshot(f, "")
+}
+
+// TestModelRoundTrip pins the in-memory round trip (Encode → OpenBytes),
+// the path index files take: no file, no mapping, same bits.
+func TestModelRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	a := randomCounts(rng, 25, 15, 0.3)
+	m, err := Build(a, Config{K: 5, Scheme: weight.LogEntropy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := readModel(encodeModel(t, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K != m.K || got.NumTerms() != m.NumTerms() || got.NumDocs() != m.NumDocs() {
+		t.Fatal("shape mismatch after round trip")
+	}
+	if got.Scheme != m.Scheme {
+		t.Fatal("scheme mismatch")
+	}
+	for i := range m.S {
+		if got.S[i] != m.S[i] {
+			t.Fatal("singular values differ")
+		}
+	}
+	if !got.U.Equal(m.U, 0) || !got.V.Equal(m.V, 0) {
+		t.Fatal("factors differ")
+	}
+	// Behavioural equivalence: same ranking for the same query.
+	raw := make([]float64, 25)
+	raw[3], raw[8] = 1, 2
+	r1, r2 := m.Rank(raw), got.Rank(raw)
+	for i := range r1 {
+		if r1[i].Doc != r2[i].Doc || math.Float64bits(r1[i].Score) != math.Float64bits(r2[i].Score) {
+			t.Fatal("loaded model ranks differently")
+		}
+	}
+}
+
+func TestModelRoundTripAfterFoldAndUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	a := randomCounts(rng, 25, 15, 0.3)
+	m, err := Build(a, Config{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.UpdateDocs(randomCounts(rng, 25, 2, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	m.FoldInDocs(randomCounts(rng, 25, 3, 0.3))
+	m.FoldInTerms(randomCounts(rng, 2, 20, 0.3))
+
+	path := filepath.Join(t.TempDir(), "model.lsnp")
+	if err := WriteSnapshotFile(path, m); err != nil {
+		t.Fatal(err)
+	}
+	got, f, err := OpenSnapshotFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Fold bookkeeping survives, so the ErrFoldedModel guard still works.
+	if got.FoldedDocs() != m.FoldedDocs() || got.FoldedTerms() != m.FoldedTerms() {
+		t.Fatalf("fold counters lost: docs %d/%d terms %d/%d",
+			got.FoldedDocs(), m.FoldedDocs(), got.FoldedTerms(), m.FoldedTerms())
+	}
+	if err := got.UpdateDocs(randomCounts(rng, got.NumTerms(), 1, 0.3)); err != ErrFoldedModel {
+		t.Fatalf("expected ErrFoldedModel after reload, got %v", err)
+	}
+}
+
+func TestReadModelRejectsGarbage(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"garbage": []byte("not a model at all, nope"),
+		"empty":   nil,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenSnapshotFile(path, false); err == nil {
+			t.Fatalf("expected error for %s input", name)
+		}
+	}
+}
+
+func TestReadModelRejectsTruncated(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	a := randomCounts(rng, 10, 8, 0.4)
+	m, err := Build(a, Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := encodeModel(t, m)
+	f, err := snapfile.OpenBytes(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// V is the last section; one byte short of its payload is the
+	// tightest truncation (anything past it is alignment padding).
+	vEnd := int(f.SectionOffset("V")) + 8*len(m.V.Data)
+	for _, cut := range []int{10, 80, len(full) / 2, vEnd - 1} {
+		if _, err := readModel(full[:cut]); err == nil {
+			t.Fatalf("expected error for truncation at %d bytes", cut)
+		}
+	}
+}
+
+func TestReadModelRejectsWrongVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	a := randomCounts(rng, 10, 8, 0.4)
+	m, err := Build(a, Config{K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := encodeModel(t, m)
+	// Container version field, with the header CRC recomputed so the
+	// version check itself — not the checksum — has to refuse it.
+	binary.LittleEndian.PutUint32(b[4:], snapfile.Version+98)
+	binary.LittleEndian.PutUint32(b[36:], crc32.ChecksumIEEE(b[:36]))
+	if _, err := readModel(b); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("expected version error, got %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -62,6 +61,37 @@ func TestDeleteImmediateInvisibility(t *testing.T) {
 	// the document.
 	if before.Tombstones() != 0 {
 		t.Fatal("published snapshot was mutated by a later delete")
+	}
+}
+
+// TestDeleteSurvivesIVFRebuild: a background cluster-index build that
+// lands after a delete republishes the snapshot; the tombstones must
+// ride along, or the deleted document resurfaces until the next batch.
+func TestDeleteSurvivesIVFRebuild(t *testing.T) {
+	e, coll := testEngine(t, Config{BatchTick: time.Millisecond, IVFMinRows: 1, IVFRebuildFraction: 0.0001})
+	ctx := context.Background()
+	if err := e.Delete(ctx, "M3"); err != nil {
+		t.Fatal(err)
+	}
+	// Any fold-in leaves an unclustered tail past the rebuild fraction.
+	if _, err := e.Submit(ctx, corpus.Document{Text: "depressed patients fast culture"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.Stats().IVFRebuilds < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no rebuild landed: %+v", e.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s := e.Snapshot()
+	if s.Tombstones() != 1 {
+		t.Fatalf("%d tombstones after the rebuild landed, want 1", s.Tombstones())
+	}
+	for _, id := range rankedIDs(s, s.RankTop(coll.QueryVector("blood pressure"), s.NumDocs())) {
+		if id == "M3" {
+			t.Fatal("deleted document resurfaced after the IVF rebuild")
+		}
 	}
 }
 
@@ -142,147 +172,6 @@ func TestDeleteMatchesNeverInserted(t *testing.T) {
 				t.Fatalf("query %q rank %d (%s): score %v != %v", q, i, ia[i], ra[i].Score, rb[i].Score)
 			}
 		}
-	}
-}
-
-// TestDeleteCompactionFoldsOut drives the fold-out machinery end to end
-// for both compaction strategies, with a deterministic compaction
-// schedule (the orthogonality trigger is parked at an unreachable level,
-// so only tombstones launch compactions — exactly one per delete):
-//
-//  1. deleting a pending (folded-in) document compacts to the base with
-//     the live pending absorbed and the dead entry dropped — byte-equal
-//     to UpdateDocsOpts on the live subset;
-//  2. deleting a base document compacts by downdating — byte-equal to
-//     DowndateDocs on the live rows.
-func TestDeleteCompactionFoldsOut(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		strategy core.UpdateStrategy
-	}{
-		{"obrien", core.StrategyOBrien},
-		{"gk", core.StrategyGK},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			coll := corpus.MED()
-			model, err := core.BuildCollection(coll, core.Config{K: 2, Method: core.MethodDense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := model.SharedClone()
-			e, err := New(coll, model, Config{
-				BatchTick:          time.Millisecond,
-				CompactThreshold:   1e9, // orthogonality never triggers; deletes do
-				CompactionStrategy: tc.strategy,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := e.Close(ctx); err != nil {
-					t.Errorf("close: %v", err)
-				}
-			})
-			ctx := context.Background()
-			pend := make([]corpus.Document, 6)
-			for i := range pend {
-				pend[i] = corpus.Document{
-					ID:   fmt.Sprintf("P%d", i),
-					Text: fmt.Sprintf("fast generation of behavioural changes %d in depressed rats", i),
-				}
-				if _, err := e.Submit(ctx, pend[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := e.Stats(); got.Compactions != 0 {
-				t.Fatalf("compaction before any delete: %+v", got)
-			}
-
-			waitCompacted := func(n int64) *Snapshot {
-				t.Helper()
-				deadline := time.Now().Add(5 * time.Second)
-				for {
-					st := e.Stats()
-					if st.Compactions == n && !st.Compacting && st.Tombstones == 0 && st.FoldedDocuments == 0 {
-						return e.Snapshot()
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("no quiescent compacted state; stats %+v", st)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-			sameV := func(s *Snapshot, want *core.Model) {
-				t.Helper()
-				if s.Model.NumDocs() != want.NumDocs() {
-					t.Fatalf("rows: engine %d, reference %d", s.Model.NumDocs(), want.NumDocs())
-				}
-				for j := 0; j < want.NumDocs(); j++ {
-					a, b := s.Model.V.Row(j), want.V.Row(j)
-					for c := range a {
-						if math.Float64bits(a[c]) != math.Float64bits(b[c]) {
-							t.Fatalf("row %d col %d: engine %v != reference %v", j, c, a[c], b[c])
-						}
-					}
-				}
-			}
-
-			// Phase 1: delete a pending document. The triggered compaction
-			// absorbs the five live pending docs and drops the dead one.
-			if err := e.Delete(ctx, "P2"); err != nil {
-				t.Fatal(err)
-			}
-			s := waitCompacted(1)
-			live := append(append([]corpus.Document(nil), pend[:2]...), pend[3:]...)
-			opts := core.UpdateOptions{Strategy: tc.strategy}
-			if err := ref.UpdateDocsOpts(coll.DocVectors(live), opts); err != nil {
-				t.Fatal(err)
-			}
-			sameV(s, ref)
-			if s.NumDocs() != 19 {
-				t.Fatalf("%d docs after fold-out, want 19", s.NumDocs())
-			}
-			for j := 0; j < s.NumDocs(); j++ {
-				if s.Doc(j).ID == "P2" {
-					t.Fatal("deleted pending doc survived compaction")
-				}
-			}
-
-			// Phase 2: delete a base document. The triggered compaction
-			// folds its row out with a downdate.
-			row := -1
-			for j := 0; j < s.NumDocs(); j++ {
-				if s.Doc(j).ID == "M3" {
-					row = j
-				}
-			}
-			if row < 0 {
-				t.Fatal("M3 not found")
-			}
-			if err := e.Delete(ctx, "M3"); err != nil {
-				t.Fatal(err)
-			}
-			s = waitCompacted(2)
-			if err := ref.DowndateDocs(liveRows(ref.NumDocs(), []int{row})); err != nil {
-				t.Fatal(err)
-			}
-			sameV(s, ref)
-			if s.NumDocs() != 18 || s.Tombstones() != 0 {
-				t.Fatalf("physical=%d tombstones=%d after downdate", s.NumDocs(), s.Tombstones())
-			}
-			for j := 0; j < s.NumDocs(); j++ {
-				if s.Doc(j).ID == "M3" {
-					t.Fatal("downdated doc survived compaction")
-				}
-			}
-			// The folded-out state still answers queries sensibly.
-			ranked := s.RankTop(coll.QueryVector("depressed rats"), 5)
-			if len(ranked) != 5 {
-				t.Fatalf("got %d results", len(ranked))
-			}
-		})
 	}
 }
 

@@ -13,14 +13,16 @@
 //     batch into a SharedClone of the current model with one FoldInDocs
 //     call (Eq 7), extends the scoring cache by just the new rows, and
 //     publishes the successor snapshot.
-//   - Folding-in corrupts V's orthogonality (§4.3); when the published
-//     model's DocOrthogonality crosses the configured threshold the
-//     updater launches an SVD-update compaction (core.UpdateDocs, Eq 10)
-//     off to the side: the last pure-SVD base absorbs every document
-//     folded since, while reads — and further fold-ins — continue on the
-//     current snapshots. When the compaction lands, documents folded in
-//     the meantime are re-folded onto the compacted base and the result
-//     is published; orthogonality drops back to zero without the service
+//   - Folding-in corrupts V's orthogonality (§4.3). The engine never
+//     decides to repair it on its own: its owner (the shard router, whose
+//     monitor watches the global DocOrthogonality) freezes the compaction
+//     inputs with BeginExternalCompaction, computes the SVD-update
+//     (Eq 10) off to the side from the last pure-SVD base and everything
+//     folded since, and lands it with FinishExternalCompaction. Reads —
+//     and further fold-ins — continue on the current snapshots
+//     throughout; when the compaction lands, documents folded in the
+//     meantime are re-folded onto the compacted base and the result is
+//     published, so orthogonality drops back to zero without the service
 //     ever pausing.
 //
 // Backpressure is explicit: a full queue rejects submissions immediately
@@ -42,7 +44,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dense"
 	"repro/internal/rank"
-	"repro/internal/sparse"
 )
 
 // Exported error sentinels; the HTTP layer switches on these.
@@ -59,7 +60,7 @@ var (
 )
 
 // Config parameterizes the update pipeline. The zero value gets sensible
-// defaults from New; CompactThreshold 0 disables automatic compaction.
+// defaults from New.
 type Config struct {
 	// QueueSize bounds the fold-in queue (default 256). Submissions beyond
 	// it fail fast with ErrQueueFull.
@@ -68,8 +69,10 @@ type Config struct {
 	// folds one batch per tick (default 2ms).
 	BatchTick time.Duration
 	// CompactThreshold is the DocOrthogonality (‖V̂ᵀV̂−I‖_F, §4.3) level
-	// above which the updater triggers an SVD-update compaction; 0 (or
-	// negative) disables automatic compaction.
+	// above which an SVD-update compaction is triggered; 0 (or negative)
+	// disables automatic compaction. The engine itself never reads it:
+	// the shard router's monitor does, measuring the loss over all shards
+	// and driving the external-compaction protocol below.
 	CompactThreshold float64
 	// Logf receives diagnostics (default: discard).
 	Logf func(format string, args ...any)
@@ -186,16 +189,6 @@ type submission struct {
 	reply chan submitResult
 }
 
-type compactResult struct {
-	model *core.Model // compacted base; FoldedDocs()==0
-	count int         // how many pending entries it resolved (live absorbed + dead dropped)
-	// downdated reports whether the frozen dead base rows were folded out
-	// of the model (false when the downdate was skipped or degenerate —
-	// those rows then survive physically and stay tombstoned).
-	downdated bool
-	err       error
-}
-
 // frozenCompaction records what an in-flight compaction froze, so
 // finishCompaction can remap every surviving row from the old serving
 // coordinates to the compacted ones. Rows [0,baseN) are the base,
@@ -281,24 +274,11 @@ type Engine struct {
 	// physically present, excluded from every query via Snapshot.Dead,
 	// folded out by the next compaction.
 	deadRows map[int]struct{}
-	// frozen is the in-flight compaction's freeze record (internal or
-	// external); nil when no compaction is running.
+	// frozen is the in-flight compaction's freeze record; nil exactly
+	// when no compaction is running (compacting mirrors it for Stats).
 	frozen *frozenCompaction
-	// deadStuck is set when a compaction left dead base rows in place
-	// (degenerate downdate) so the trigger doesn't relaunch a compaction
-	// that cannot make progress; any batch activity clears it.
-	deadStuck bool
-	nextID    int
-	compactCh chan compactResult
-	// compactWaiters holds CompactNow callers blocked until the in-flight
-	// compaction lands; finishCompaction sends each the outcome.
-	compactWaiters []chan error
-	ivfCh     chan ivfResult
-	// external marks the in-flight compaction as externally driven (a
-	// shard router computing one shared-basis plan across engines): the
-	// result arrives through FinishExternalCompaction, never compactCh,
-	// so shutdown must not wait on the channel for it.
-	external bool
+	nextID int
+	ivfCh  chan ivfResult
 	// coordsEpoch tags the current coordinate generation; compaction
 	// increments it, invalidating in-flight index builds.
 	coordsEpoch uint64
@@ -328,16 +308,15 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Engine, error
 		cfg.DisableIVF = true // the index lives on the mirror
 	}
 	e := &Engine{
-		cfg:       cfg,
-		coll:      coll,
-		queue:     make(chan submission, cfg.QueueSize),
-		ops:       make(chan func(), 4),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-		rowOf:     make(map[string]int, coll.Size()),
-		deadRows:  make(map[int]struct{}),
-		compactCh: make(chan compactResult, 1),
-		ivfCh:     make(chan ivfResult, 1),
+		cfg:      cfg,
+		coll:     coll,
+		queue:    make(chan submission, cfg.QueueSize),
+		ops:      make(chan func(), 4),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
+		rowOf:    make(map[string]int, coll.Size()),
+		deadRows: make(map[int]struct{}),
+		ivfCh:    make(chan ivfResult, 1),
 	}
 	docs := append([]corpus.Document(nil), coll.Docs...)
 	for _, row := range cfg.RestoredDead {
@@ -361,8 +340,6 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Engine, error
 	}
 	if model.FoldedDocs() == 0 && model.FoldedTerms() == 0 {
 		e.base = model
-	} else if cfg.CompactThreshold > 0 {
-		cfg.Logf("engine: model contains folded rows; automatic compaction disabled")
 	}
 	eng := cfg.Prebuilt
 	if eng == nil {
@@ -499,8 +476,9 @@ func (e *Engine) enqueue(sub submission) error {
 	}
 }
 
-// Close stops accepting submissions, drains every queued fold-in, waits
-// for an in-flight compaction to land, and shuts the updater down. It is
+// Close stops accepting submissions, drains every queued fold-in and
+// shuts the updater down. An in-flight compaction is not waited for: its
+// owner sees ErrClosed from FinishExternalCompaction instead. It is
 // idempotent; ctx bounds the wait.
 func (e *Engine) Close(ctx context.Context) error {
 	e.closeMu.Lock()
@@ -529,8 +507,6 @@ func (e *Engine) run() {
 			e.applyBatch(e.drainQueue())
 		case fn := <-e.ops:
 			fn()
-		case res := <-e.compactCh:
-			e.finishCompaction(res)
 		case res := <-e.ivfCh:
 			e.finishIVFBuild(res)
 		case <-e.stop:
@@ -538,12 +514,6 @@ func (e *Engine) run() {
 			// signalling, so nothing can be added behind this drain.
 			e.applyBatch(e.drainQueue())
 			e.drainOps()
-			// An internally launched compaction always posts its result;
-			// an external one never will (its owner is the router, which
-			// sees ErrClosed from FinishExternalCompaction instead).
-			if e.compacting.Load() && !e.external {
-				e.finishCompaction(<-e.compactCh)
-			}
 			if e.ivfBuilding.Load() {
 				e.finishIVFBuild(<-e.ivfCh)
 			}
@@ -684,15 +654,9 @@ func (e *Engine) applyBatch(batch []submission) {
 		e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: cur.Model, Eng: cur.Eng, Docs: cur.Docs,
 			Dead: deadSkip(oldN, e.deadRows), counters: &e.counters})
 	}
-	if len(accepted) > 0 || deleted > 0 {
-		// New rows or new tombstones change the downdate geometry; a
-		// previously degenerate fold-out may be feasible now.
-		e.deadStuck = false
-	}
 	for _, sub := range replies {
 		sub.reply <- submitResult{id: sub.doc.ID}
 	}
-	e.maybeCompact()
 	e.maybeRebuildIVF()
 }
 
@@ -758,7 +722,8 @@ func (e *Engine) finishIVFBuild(res ivfResult) {
 	// append-only chain (no compaction this epoch), so the index's row
 	// prefix is intact and rows beyond it form the new unclustered tail.
 	eng := cur.Eng.WithIVFIndex(res.idx)
-	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: cur.Model, Eng: eng, Docs: cur.Docs, counters: &e.counters})
+	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: cur.Model, Eng: eng, Docs: cur.Docs,
+		Dead: cur.Dead, counters: &e.counters})
 	e.ivfRebuilds.Add(1)
 	// Fold-ins that landed while the build ran may already exceed the
 	// tail threshold again.
@@ -783,134 +748,6 @@ func (e *Engine) freezeDead() (deadBase []int, deadPending []bool) {
 	return deadBase, deadPending
 }
 
-// liveRows returns the ascending complement of dead within [0, n).
-func liveRows(n int, dead []int) []int {
-	live := make([]int, 0, n-len(dead))
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < len(dead) && dead[j] == i {
-			j++
-			continue
-		}
-		live = append(live, i)
-	}
-	return live
-}
-
-// maybeCompact launches an SVD-update compaction when the published
-// model's orthogonality loss exceeds the threshold, or when tombstones
-// can be folded out: dead pending entries are dropped from the update
-// and dead base rows are removed by a downdate (core.DowndateDocs) when
-// enough live rows remain for one. At most one compaction runs at a
-// time; it works from the immutable base model and a frozen copy of the
-// pending fold-ins, so reads and further fold-ins proceed untouched
-// while it runs.
-func (e *Engine) maybeCompact() {
-	if e.cfg.CompactThreshold <= 0 || e.base == nil || e.compacting.Load() {
-		return
-	}
-	select {
-	case <-e.stop: // shutting down: don't start work nobody will serve
-		return
-	default:
-	}
-	e.tryLaunchCompaction(false)
-}
-
-// tryLaunchCompaction freezes the compaction inputs and launches the
-// background update when there is work: fold-ins to absorb (past the
-// orthogonality threshold unless force), or tombstones to resolve.
-// Returns whether a compaction was launched. Updater-goroutine only;
-// the caller has already established base != nil and !compacting.
-func (e *Engine) tryLaunchCompaction(force bool) bool {
-	deadBase, deadPending := e.freezeDead()
-	anyDeadPending := false
-	for _, d := range deadPending {
-		anyDeadPending = anyDeadPending || d
-	}
-	baseN := e.base.NumDocs()
-	canDowndate := len(deadBase) > 0 && !e.deadStuck && baseN-len(deadBase) >= len(e.base.S)
-	needOrth := len(e.pending) > 0 &&
-		(force || e.snap.Load().Model.DocOrthogonality() > e.cfg.CompactThreshold)
-	if !canDowndate && !anyDeadPending && !needOrth {
-		return false
-	}
-	base := e.base.SharedClone()
-	livePend := make([]corpus.Document, 0, len(e.pending))
-	for i, doc := range e.pending {
-		if !deadPending[i] {
-			livePend = append(livePend, doc)
-		}
-	}
-	var d *sparse.CSR
-	if len(livePend) > 0 {
-		d = e.coll.DocVectors(livePend)
-	}
-	count := len(e.pending)
-	opts := core.UpdateOptions{Strategy: e.cfg.CompactionStrategy, GKRank: e.cfg.GKRank}
-	live := liveRows(baseN, deadBase)
-	e.frozen = &frozenCompaction{baseN: baseN, pendingCount: count, deadBase: deadBase, deadPending: deadPending}
-	e.compacting.Store(true)
-	go func() {
-		res := compactResult{model: base, count: count}
-		if canDowndate {
-			switch err := base.DowndateDocs(live); {
-			case err == nil:
-				res.downdated = true
-			case errors.Is(err, core.ErrDowndateDegenerate):
-				// Keep the dead rows tombstoned; the update below still runs
-				// on the full base.
-			default:
-				res.err = err
-			}
-		}
-		if res.err == nil && d != nil {
-			res.err = base.UpdateDocsOpts(d, opts)
-		}
-		e.compactCh <- res
-	}()
-	return true
-}
-
-// CompactNow forces a compaction regardless of the orthogonality
-// threshold and waits for it to land: every pending fold-in is absorbed
-// into the SVD base and tombstones are folded out where the downdate is
-// feasible. On a quiesced engine the published model afterwards has
-// FoldedDocs() == 0, which is what lets a snapshot restore recover an
-// SVD base (and re-enable automatic compaction) — the -save-model path
-// calls this before persisting. Returns nil with no work done when the
-// model is already compact, ErrNoBase when the engine has no SVD base,
-// ErrCompactionActive when a compaction (internal or external) is
-// already in flight.
-func (e *Engine) CompactNow(ctx context.Context) error {
-	done := make(chan error, 1)
-	var launched bool
-	var err error
-	if opErr := e.onUpdater(func() {
-		switch {
-		case e.base == nil:
-			err = ErrNoBase
-		case e.compacting.Load():
-			err = ErrCompactionActive
-		default:
-			if launched = e.tryLaunchCompaction(true); launched {
-				e.compactWaiters = append(e.compactWaiters, done)
-			}
-		}
-	}); opErr != nil {
-		return opErr
-	}
-	if err != nil || !launched {
-		return err
-	}
-	select {
-	case res := <-done:
-		return res
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // FreezeForSnapshot captures, in one updater turn, the serving snapshot
 // together with the updater-private auto-ID counter — the pair a
 // persistent snapshot needs to be mutually consistent. The engine keeps
@@ -932,7 +769,7 @@ func (e *Engine) FreezeForSnapshot() (*Snapshot, int, error) {
 // documents its V rows describe, and everything folded in since. The
 // engine keeps serving — and keeps folding — while the owner computes;
 // documents that arrive in the meantime are reconciled by
-// FinishExternalCompaction exactly like the internal path.
+// FinishExternalCompaction.
 type ExternalCompaction struct {
 	// Base is a copy-on-write clone of the last pure-SVD model
 	// (FoldedDocs() == 0); safe to read while the engine keeps serving.
@@ -955,8 +792,7 @@ type ExternalCompaction struct {
 
 // External-compaction error sentinels.
 var (
-	// ErrCompactionActive means a compaction (internal or external) is
-	// already in flight.
+	// ErrCompactionActive means a compaction is already in flight.
 	ErrCompactionActive = errors.New("engine: compaction already in flight")
 	// ErrNoBase means the engine has no pure-SVD base to update from (its
 	// initial model already contained folded rows).
@@ -967,10 +803,9 @@ var (
 )
 
 // BeginExternalCompaction freezes the engine's compaction inputs and
-// marks a compaction in flight, blocking the internal trigger until
-// FinishExternalCompaction or AbortExternalCompaction. The engine keeps
-// serving and folding throughout; only one compaction (of either kind)
-// may be active.
+// marks a compaction in flight until FinishExternalCompaction or
+// AbortExternalCompaction. The engine keeps serving and folding
+// throughout; only one compaction may be active.
 func (e *Engine) BeginExternalCompaction() (*ExternalCompaction, error) {
 	var st *ExternalCompaction
 	var err error
@@ -978,11 +813,10 @@ func (e *Engine) BeginExternalCompaction() (*ExternalCompaction, error) {
 		switch {
 		case e.base == nil:
 			err = ErrNoBase
-		case e.compacting.Load():
+		case e.frozen != nil:
 			err = ErrCompactionActive
 		default:
 			e.compacting.Store(true)
-			e.external = true
 			deadBase, deadPending := e.freezeDead()
 			e.frozen = &frozenCompaction{
 				baseN:        e.base.NumDocs(),
@@ -1009,19 +843,17 @@ func (e *Engine) BeginExternalCompaction() (*ExternalCompaction, error) {
 // model must be the frozen Base with exactly the frozen live Pending
 // docs absorbed (FoldedDocs() == 0, absorbed = len(Pending) — dead
 // entries count as resolved, not folded) and, when downdated is true,
-// the frozen DeadBaseRows folded out. Reconciliation matches the
-// internal path — documents folded (or deleted) while the owner computed
-// are re-folded onto the new base and the result is published as the
-// next generation.
+// the frozen DeadBaseRows folded out. Documents folded (or deleted) while
+// the owner computed are re-folded onto the new base and the result is
+// published as the next generation.
 func (e *Engine) FinishExternalCompaction(model *core.Model, absorbed int, downdated bool) error {
 	var err error
 	if opErr := e.onUpdater(func() {
-		if !e.external {
+		if e.frozen == nil {
 			err = ErrNotCompacting
 			return
 		}
-		e.external = false
-		e.finishCompaction(compactResult{model: model, count: absorbed, downdated: downdated})
+		e.finishCompaction(model, absorbed, downdated)
 	}); opErr != nil {
 		return opErr
 	}
@@ -1033,11 +865,8 @@ func (e *Engine) FinishExternalCompaction(model *core.Model, absorbed int, downd
 // when no external compaction is active or the engine already closed.
 func (e *Engine) AbortExternalCompaction() {
 	_ = e.onUpdater(func() {
-		if e.external {
-			e.external = false
-			e.frozen = nil
-			e.compacting.Store(false)
-		}
+		e.frozen = nil
+		e.compacting.Store(false)
 	})
 }
 
@@ -1051,34 +880,10 @@ func (e *Engine) QueueCapacity() int { return cap(e.queue) }
 // row is remapped to its compacted index, documents beyond the compacted
 // prefix are re-folded onto the fresh base, and the result is published
 // as the next generation.
-func (e *Engine) finishCompaction(res compactResult) {
+func (e *Engine) finishCompaction(model *core.Model, count int, downdated bool) {
 	e.compacting.Store(false)
 	fr := e.frozen
 	e.frozen = nil
-	// Wake CompactNow callers with the outcome, success or failure; the
-	// channels are buffered so an abandoned waiter cannot block the
-	// updater.
-	for _, ch := range e.compactWaiters {
-		ch <- res.err
-	}
-	e.compactWaiters = nil
-	if res.err != nil {
-		// Should be unreachable (the base is unfolded by construction);
-		// keep serving the folded snapshots and leave pending intact.
-		e.cfg.Logf("engine: compaction failed: %v", res.err)
-		return
-	}
-	if fr == nil {
-		// Defensive: a finish without a freeze record (hand-driven tests
-		// landing a plain update) behaves like a delete-free compaction.
-		fr = &frozenCompaction{baseN: e.base.NumDocs(), pendingCount: res.count,
-			deadPending: make([]bool, res.count)}
-	}
-	if len(fr.deadBase) > 0 && !res.downdated {
-		// The fold-out didn't happen (downdate degenerate); don't relaunch
-		// until a batch changes the geometry.
-		e.deadStuck = true
-	}
 	cur := e.snap.Load()
 	// Remap old serving rows to compacted rows: −1 for rows the compaction
 	// resolved (downdated base rows, dropped dead pending entries);
@@ -1088,7 +893,7 @@ func (e *Engine) finishCompaction(res compactResult) {
 	db, fp := 0, fr.baseN
 	for old := range newRow {
 		switch {
-		case old < fr.baseN && res.downdated && db < len(fr.deadBase) && fr.deadBase[db] == old:
+		case old < fr.baseN && downdated && db < len(fr.deadBase) && fr.deadBase[db] == old:
 			db++
 			newRow[old] = -1
 		case old >= fr.baseN && old < fp+fr.pendingCount && fr.deadPending[old-fr.baseN]:
@@ -1116,8 +921,8 @@ func (e *Engine) finishCompaction(res compactResult) {
 		}
 	}
 	e.deadRows = dead
-	leftover := append([]corpus.Document(nil), e.pending[res.count:]...)
-	serving := res.model.SharedClone()
+	leftover := append([]corpus.Document(nil), e.pending[count:]...)
+	serving := model.SharedClone()
 	if len(leftover) > 0 {
 		serving.FoldInDocs(e.coll.DocVectors(leftover))
 	}
@@ -1129,11 +934,8 @@ func (e *Engine) finishCompaction(res compactResult) {
 	e.coordsEpoch++
 	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: serving, Eng: e.newRankEngine(serving.V), Docs: docs,
 		Dead: deadSkip(len(docs), e.deadRows), counters: &e.counters})
-	e.base = res.model
+	e.base = model
 	e.pending = leftover
 	e.compactions.Add(1)
-	// The leftover fold-ins may already exceed the threshold again — and
-	// post-freeze deaths may already justify another fold-out.
-	e.maybeCompact()
 	e.maybeRebuildIVF()
 }

@@ -159,65 +159,6 @@ func TestCloseDrainsQueue(t *testing.T) {
 	}
 }
 
-// TestCompactionRestoresOrthogonality: with a tiny threshold every batch
-// triggers an SVD-update compaction; the compacted snapshot has zero
-// folded documents, near-zero orthogonality loss, an advanced generation,
-// and still resolves every document ID.
-func TestCompactionRestoresOrthogonality(t *testing.T) {
-	e, coll := testEngine(t, Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9})
-	ctx := context.Background()
-	ids := make(map[string]bool)
-	for i := 0; i < 6; i++ {
-		id, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[id] = true
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	quiescent := func() bool {
-		st := e.Stats()
-		return st.Compactions > 0 && !st.Compacting && st.FoldedDocuments == 0
-	}
-	for !quiescent() {
-		if time.Now().After(deadline) {
-			t.Fatalf("no quiescent compacted state; stats %+v", e.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s := e.Snapshot()
-	if s.NumDocs() != 20 {
-		t.Fatalf("%d docs want 20", s.NumDocs())
-	}
-	if f := s.Model.FoldedDocs(); f != 0 {
-		t.Fatalf("compacted snapshot still has %d folded docs", f)
-	}
-	if o := s.Model.DocOrthogonality(); o > 1e-6 {
-		t.Fatalf("orthogonality %g after compaction", o)
-	}
-	for id := range ids {
-		found := false
-		for j := 0; j < s.NumDocs(); j++ {
-			if s.Doc(j).ID == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("id %s lost in compaction", id)
-		}
-	}
-	// Ranking still works against the rotated coordinates.
-	ranked := s.RankTop(coll.QueryVector("depressed patients"), 5)
-	if len(ranked) != 5 {
-		t.Fatalf("got %d results", len(ranked))
-	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i-1].Score < ranked[i].Score {
-			t.Fatal("scores not sorted")
-		}
-	}
-}
-
 // TestQuiescentRepeatIsByteStable: two identical queries against the same
 // snapshot generation return identical results.
 func TestQuiescentRepeatIsByteStable(t *testing.T) {

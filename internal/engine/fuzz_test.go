@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/engine"
+	"repro/internal/shard"
 )
 
 // fuzzWords are MED-vocabulary terms, so every fuzzed document projects to
@@ -24,7 +26,7 @@ func fuzzText(seed int) string {
 	return a + " " + b + " " + fuzzWords[(seed+3)%len(fuzzWords)]
 }
 
-// FuzzEngineDeleteOracle drives the engine with an arbitrary interleaving
+// FuzzEngineDeleteOracle drives a 1-shard router with an arbitrary interleaving
 // of submits, deletes, re-adds of deleted IDs, and queries — decoded from
 // the fuzz input — and checks it against a sequential oracle (the live-ID
 // set maintained step by step): every op outcome matches the oracle's
@@ -46,14 +48,15 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(coll, model, Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9})
+		r, err := shard.New(coll, model, shard.Config{
+			Engine: engine.Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if err := e.Close(ctx); err != nil {
+			if err := r.Close(ctx); err != nil {
 				t.Errorf("close: %v", err)
 			}
 		}()
@@ -78,7 +81,7 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 			case 0: // submit a fresh document
 				id := fmt.Sprintf("f%d", fresh)
 				fresh++
-				got, err := e.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)})
+				got, _, err := r.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)})
 				if err != nil || got != id {
 					t.Fatalf("op %d: submit %s: id=%q err=%v", i, id, got, err)
 				}
@@ -88,7 +91,7 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 				if len(dead) == 0 {
 					id := fmt.Sprintf("f%d", fresh)
 					fresh++
-					if _, err := e.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)}); err != nil {
+					if _, _, err := r.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)}); err != nil {
 						t.Fatalf("op %d: submit %s: %v", i, id, err)
 					}
 					live = append(live, id)
@@ -98,14 +101,14 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 				j := arg % len(dead)
 				id := dead[j]
 				dead = append(dead[:j], dead[j+1:]...)
-				if _, err := e.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)}); err != nil {
+				if _, _, err := r.Submit(ctx, corpus.Document{ID: id, Text: fuzzText(arg)}); err != nil {
 					t.Fatalf("op %d: re-add of deleted %s: %v", i, id, err)
 				}
 				live = append(live, id)
 				liveSet[id] = true
 			case 2: // delete a live document (unknown-ID probe when empty)
 				if len(live) == 0 {
-					if err := e.Delete(ctx, "nonexistent"); !errors.Is(err, ErrUnknownID) {
+					if _, err := r.Delete(ctx, "nonexistent"); !errors.Is(err, engine.ErrUnknownID) {
 						t.Fatalf("op %d: empty-set delete: err=%v want ErrUnknownID", i, err)
 					}
 					break
@@ -114,12 +117,12 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 				id := live[j]
 				live = append(live[:j], live[j+1:]...)
 				delete(liveSet, id)
-				if err := e.Delete(ctx, id); err != nil {
+				if _, err := r.Delete(ctx, id); err != nil {
 					t.Fatalf("op %d: delete %s: %v", i, id, err)
 				}
 				dead = append(dead, id)
 			case 3: // query; results must be live per the oracle
-				s := e.Snapshot()
+				s := r.ShardSnapshot(0)
 				if s.LiveDocs() != len(live) {
 					t.Fatalf("op %d: snapshot live %d, oracle %d", i, s.LiveDocs(), len(live))
 				}
@@ -128,8 +131,8 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 				if want := min(n, len(live)); len(ranked) != want {
 					t.Fatalf("op %d: %d results want %d", i, len(ranked), want)
 				}
-				for _, r := range ranked {
-					id := s.Doc(r.Doc).ID
+				for _, hit := range ranked {
+					id := s.Doc(hit.Doc).ID
 					if !liveSet[id] {
 						t.Fatalf("op %d: query surfaced non-live doc %s", i, id)
 					}
@@ -137,7 +140,7 @@ func FuzzEngineDeleteOracle(f *testing.F) {
 			}
 		}
 		// Final snapshot agrees with the oracle on the full live set.
-		s := e.Snapshot()
+		s := r.ShardSnapshot(0)
 		if s.LiveDocs() != len(live) {
 			t.Fatalf("final live %d, oracle %d", s.LiveDocs(), len(live))
 		}

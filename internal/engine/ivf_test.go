@@ -1,31 +1,16 @@
-package engine
+package engine_test
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/engine"
 	"repro/internal/rank"
+	"repro/internal/shard"
 )
-
-// waitStats spins until pred accepts the engine's stats.
-func waitStats(t *testing.T, e *Engine, what string, pred func(Stats) bool) Stats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := e.Stats()
-		if pred(st) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s; stats %+v", what, st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestIVFLifecycle pins the cluster-index pipeline: the initial snapshot
 // is indexed, fold-ins grow the unclustered tail until the size trigger
@@ -33,7 +18,7 @@ func waitStats(t *testing.T, e *Engine, what string, pred func(Stats) bool) Stat
 // fresh build follows — and at every stage ranked results stay
 // byte-identical to an exact engine over the same coordinates.
 func TestIVFLifecycle(t *testing.T) {
-	e, coll := testEngine(t, Config{
+	r, coll := testRouter(t, engine.Config{
 		BatchTick:        time.Millisecond,
 		CompactThreshold: 1e-9,
 		IVFMinRows:       1,
@@ -41,9 +26,8 @@ func TestIVFLifecycle(t *testing.T) {
 		// rebuild as soon as the previous one lands.
 		IVFRebuildFraction: 0.0001,
 	})
-	ctx := context.Background()
 	checkParity := func(stage string) {
-		s := e.Snapshot()
+		s := r.ShardSnapshot(0)
 		exact := rank.NewEngineExact(s.Model.V)
 		for _, query := range []string{"fatty acids glucose", "depressed culture"} {
 			qhat := s.Model.ProjectQuery(coll.QueryVector(query))
@@ -55,16 +39,14 @@ func TestIVFLifecycle(t *testing.T) {
 		}
 	}
 
-	st := e.Stats()
+	st := r.Stats()
 	if st.IVFClusters == 0 || st.IVFRebuilds != 1 || st.IVFUnclusteredTail != 0 {
 		t.Fatalf("initial snapshot not indexed: %+v", st)
 	}
 	checkParity("initial")
 
 	for i := 0; i < 5; i++ {
-		if _, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)}); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, r, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)})
 		checkParity(fmt.Sprintf("after fold-in %d", i))
 	}
 	// The size trigger must land a rebuild that swallows the tail. The
@@ -72,26 +54,26 @@ func TestIVFLifecycle(t *testing.T) {
 	// the index at any instant, so the indexed state must be part of the
 	// predicate — any single poll may catch the window where the rebuilt
 	// cache is not yet re-indexed.
-	waitStats(t, e, "post-fold-in rebuild", func(st Stats) bool {
+	waitStats(t, r, "post-fold-in rebuild", func(st shard.Stats) bool {
 		return st.IVFRebuilds >= 2 && st.IVFUnclusteredTail == 0 && st.IVFClusters > 0
 	})
 	checkParity("after rebuild")
 
-	waitCompacted(t, e)
+	waitCompacted(t, r)
 	// Compaction rotated the coordinates: the rebuilt cache starts
 	// unindexed and the follow-up background build must land on the new
 	// epoch.
-	waitStats(t, e, "post-compaction rebuild", func(st Stats) bool {
+	waitStats(t, r, "post-compaction rebuild", func(st shard.Stats) bool {
 		return st.IVFClusters > 0 && st.IVFUnclusteredTail == 0
 	})
 	checkParity("after compaction rebuild")
 
 	// Cumulative query counters tick on the snapshot read path.
-	before := e.Stats().Queries
-	s := e.Snapshot()
+	before := r.Stats().Queries
+	s := r.ShardSnapshot(0)
 	s.RankTop(coll.QueryVector("glucose in rats"), 3)
 	s.RankBatch([][]float64{coll.QueryVector("fatty acids"), coll.QueryVector("culture")}, 2)
-	if after := e.Stats().Queries; after != before+3 {
+	if after := r.Stats().Queries; after != before+3 {
 		t.Fatalf("queries counter moved %d → %d; want +3", before, after)
 	}
 }
@@ -100,23 +82,20 @@ func TestIVFLifecycle(t *testing.T) {
 // unindexed, and DisableScreening implies it (the index lives on the
 // mirror).
 func TestDisableIVF(t *testing.T) {
-	e, _ := testEngine(t, Config{
+	r, _ := testRouter(t, engine.Config{
 		BatchTick:          time.Millisecond,
 		DisableIVF:         true,
 		IVFMinRows:         1,
 		IVFRebuildFraction: 0.0001,
 	})
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("fast rats %d", i)}); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, r, corpus.Document{Text: fmt.Sprintf("fast rats %d", i)})
 	}
-	if st := e.Stats(); st.IVFClusters != 0 || st.IVFRebuilds != 0 {
+	if st := r.Stats(); st.IVFClusters != 0 || st.IVFRebuilds != 0 {
 		t.Fatalf("DisableIVF engine grew an index: %+v", st)
 	}
 
-	noScreen, _ := testEngine(t, Config{DisableScreening: true, IVFMinRows: 1})
+	noScreen, _ := testRouter(t, engine.Config{DisableScreening: true, IVFMinRows: 1})
 	if st := noScreen.Stats(); st.IVFClusters != 0 || st.IVFRebuilds != 0 || st.MirrorMaxEps != 0 {
 		t.Fatalf("DisableScreening engine grew an index or mirror: %+v", st)
 	}

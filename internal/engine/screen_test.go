@@ -1,32 +1,15 @@
-package engine
+package engine_test
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/engine"
 	"repro/internal/rank"
 )
-
-// waitCompacted spins until at least one compaction has landed and the
-// pipeline is quiescent again.
-func waitCompacted(t *testing.T, e *Engine) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := e.Stats()
-		if st.Compactions > 0 && !st.Compacting && st.FoldedDocuments == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no quiescent compacted state; stats %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestScreeningSurvivesPipeline pins the mirror lifecycle across the
 // update pipeline: the initial snapshot screens, fold-in batches extend
@@ -35,10 +18,9 @@ func waitCompacted(t *testing.T, e *Engine) {
 // every stage the snapshot's results must be byte-identical to an exact
 // engine built fresh from the same document coordinates.
 func TestScreeningSurvivesPipeline(t *testing.T) {
-	e, coll := testEngine(t, Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9})
-	ctx := context.Background()
+	r, coll := testRouter(t, engine.Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9})
 	checkParity := func(stage string) {
-		s := e.Snapshot()
+		s := r.ShardSnapshot(0)
 		if !s.Eng.Screening() {
 			t.Fatalf("%s: snapshot lost the screening mirror", stage)
 		}
@@ -55,18 +37,14 @@ func TestScreeningSurvivesPipeline(t *testing.T) {
 	}
 	checkParity("initial")
 	for i := 0; i < 6; i++ {
-		if _, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)}); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, r, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)})
 		checkParity(fmt.Sprintf("after fold-in %d", i))
 	}
-	waitCompacted(t, e)
+	waitCompacted(t, r)
 	checkParity("after compaction")
 	// One more fold-in on top of the compacted base: the rebuilt mirror's
 	// Extend chain must also stay coherent.
-	if _, err := e.Submit(ctx, corpus.Document{Text: "glucose in fasting rats"}); err != nil {
-		t.Fatal(err)
-	}
+	submit(t, r, corpus.Document{Text: "glucose in fasting rats"})
 	checkParity("after post-compaction fold-in")
 }
 
@@ -74,24 +52,21 @@ func TestScreeningSurvivesPipeline(t *testing.T) {
 // snapshot — initial, extended, compacted — serves through exact-only
 // engines, and Stats/metrics report it.
 func TestDisableScreening(t *testing.T) {
-	e, _ := testEngine(t, Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9, DisableScreening: true})
-	ctx := context.Background()
-	if st := e.Stats(); st.Screening {
+	r, _ := testRouter(t, engine.Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9, DisableScreening: true})
+	if st := r.Stats(); st.Screening {
 		t.Fatal("stats report screening despite the opt-out")
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)}); err != nil {
-			t.Fatal(err)
-		}
-		if s := e.Snapshot(); s.Eng.Screening() {
+		submit(t, r, corpus.Document{Text: fmt.Sprintf("depressed patients fast culture %d", i)})
+		if s := r.ShardSnapshot(0); s.Eng.Screening() {
 			t.Fatalf("fold-in %d: extended engine grew a mirror", i)
 		}
 	}
-	waitCompacted(t, e)
-	if s := e.Snapshot(); s.Eng.Screening() {
+	waitCompacted(t, r)
+	if s := r.ShardSnapshot(0); s.Eng.Screening() {
 		t.Fatal("compaction rebuilt the cache with a mirror despite the opt-out")
 	}
-	if st := e.Stats(); st.Screening {
+	if st := r.Stats(); st.Screening {
 		t.Fatal("stats report screening after compaction despite the opt-out")
 	}
 }

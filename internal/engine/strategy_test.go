@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/engine"
 	"repro/internal/eval"
+	"repro/internal/shard"
 	"repro/internal/weight"
 )
 
@@ -27,9 +29,9 @@ var strategyTable = []struct {
 
 // TestEngineStrategyParitySuite is the shared end-to-end parity suite for
 // the two compaction strategies: the same submit/delete script runs under
-// each, churning through repeated compactions (fold-ins absorbed, deleted
-// rows downdated out), and the resulting engines are judged on the eval
-// harness — mean average precision over the synthetic corpus's relevance
+// each behind a 1-shard router, churning through repeated monitor-driven
+// compactions (fold-ins absorbed, deleted rows downdated out), and the
+// resulting engines are judged on the eval harness — mean average precision over the synthetic corpus's relevance
 // judgments — against a full truncated-SVD recompute of the final live
 // corpus. Both strategies must stay within tolerance of the recompute and
 // of each other, and each published generation must answer repeated
@@ -82,46 +84,25 @@ func TestEngineStrategyParitySuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := New(baseColl, model, Config{
+			r := newRouter(t, baseColl, model, engine.Config{
 				BatchTick:          time.Millisecond,
 				CompactThreshold:   1e-9, // every fold crosses it: maximum churn
 				CompactionStrategy: tc.strategy,
 				GKRank:             tc.gkRank,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := e.Close(ctx); err != nil {
-					t.Errorf("close: %v", err)
-				}
-			})
-			ctx := context.Background()
 			for _, d := range coll.Docs[cut:] {
-				if _, err := e.Submit(ctx, d); err != nil {
-					t.Fatalf("submit %s: %v", d.ID, err)
-				}
+				submit(t, r, d)
 			}
 			for _, id := range deleted {
-				if err := e.Delete(ctx, id); err != nil {
+				if _, err := r.Delete(context.Background(), id); err != nil {
 					t.Fatalf("delete %s: %v", id, err)
 				}
 			}
-			deadline := time.Now().Add(15 * time.Second)
-			for {
-				st := e.Stats()
-				if st.Compactions >= 2 && !st.Compacting && st.QueueDepth == 0 &&
-					st.FoldedDocuments == 0 && st.Tombstones == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("no quiescent compacted state; stats %+v", st)
-				}
-				time.Sleep(time.Millisecond)
-			}
-			s := e.Snapshot()
+			waitStats(t, r, "a quiescent compacted state", func(st shard.Stats) bool {
+				return st.Compactions >= 2 && !st.Compacting && st.QueueDepth == 0 &&
+					st.FoldedDocuments == 0 && st.Tombstones == 0
+			})
+			s := r.ShardSnapshot(0)
 			if s.NumDocs() != n-len(deleted) {
 				t.Fatalf("%d docs want %d", s.NumDocs(), n-len(deleted))
 			}
@@ -191,7 +172,7 @@ func TestEngineStrategyParitySuite(t *testing.T) {
 func TestStressStrategyChurn(t *testing.T) {
 	for _, tc := range strategyTable {
 		t.Run(tc.name, func(t *testing.T) {
-			e, coll := testEngine(t, Config{
+			r, coll := testRouter(t, engine.Config{
 				QueueSize:          1024,
 				BatchTick:          200 * time.Microsecond,
 				CompactThreshold:   1e-9,
@@ -207,7 +188,7 @@ func TestStressStrategyChurn(t *testing.T) {
 				ctx := context.Background()
 				for i := 0; i < writers; i++ {
 					id := fmt.Sprintf("W%d", i)
-					if _, err := e.Submit(ctx, corpus.Document{ID: id, Text: fmt.Sprintf("glucose culture pressure %d", i)}); err != nil {
+					if _, _, err := r.Submit(ctx, corpus.Document{ID: id, Text: fmt.Sprintf("glucose culture pressure %d", i)}); err != nil {
 						t.Errorf("submit %d: %v", i, err)
 						return
 					}
@@ -222,7 +203,7 @@ func TestStressStrategyChurn(t *testing.T) {
 				defer close(deleterDone)
 				ctx := context.Background()
 				for id := range toDelete {
-					if err := e.Delete(ctx, id); err != nil {
+					if _, err := r.Delete(ctx, id); err != nil {
 						t.Errorf("delete %s: %v", id, err)
 						return
 					}
@@ -236,10 +217,10 @@ func TestStressStrategyChurn(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 80; i++ {
-						s := e.Snapshot()
-						for _, r := range s.RankTop(query, 8) {
-							if s.Dead.Has(r.Doc) {
-								t.Errorf("tombstoned row %d surfaced", r.Doc)
+						s := r.ShardSnapshot(0)
+						for _, hit := range s.RankTop(query, 8) {
+							if s.Dead.Has(hit.Doc) {
+								t.Errorf("tombstoned row %d surfaced", hit.Doc)
 								return
 							}
 						}
@@ -249,18 +230,10 @@ func TestStressStrategyChurn(t *testing.T) {
 			wg.Wait()
 			<-writerDone
 			<-deleterDone
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				st := e.Stats()
-				if st.Documents == 14+writers-deleted && st.Tombstones == 0 && !st.Compacting &&
-					st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("pipeline did not settle: %+v", st)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitStats(t, r, "the pipeline to settle", func(st shard.Stats) bool {
+				return st.Documents == 14+writers-deleted && st.Tombstones == 0 && !st.Compacting &&
+					st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0
+			})
 		})
 	}
 }

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"context"
@@ -10,13 +10,16 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/engine"
+	"repro/internal/shard"
 	"repro/internal/synonym"
 )
 
 // TestStressSnapshotIsolation is the core race/stress proof for the
-// serving engine: reader goroutines hammer ranking, batch ranking, and
-// term lookup off atomic snapshots while a writer streams fold-ins and a
-// tiny compaction threshold forces repeated SVD-update compactions. Run
+// serving engine (behind its 1-shard router): reader goroutines hammer
+// ranking, batch ranking, and term lookup off atomic snapshots while a
+// writer streams fold-ins and a tiny compaction threshold has the
+// router's monitor land repeated SVD-update compactions. Run
 // under -race (make stress) this demonstrates that:
 //
 //   - readers never block on the updater (they only load a pointer; any
@@ -30,7 +33,7 @@ import (
 func TestStressSnapshotIsolation(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	e, coll := testEngine(t, Config{
+	r, coll := testRouter(t, engine.Config{
 		QueueSize:        1024,
 		BatchTick:        200 * time.Microsecond,
 		CompactThreshold: 1e-9, // every fold crosses it: maximum churn
@@ -57,7 +60,7 @@ func TestStressSnapshotIsolation(t *testing.T) {
 		defer close(writerDone)
 		ctx := context.Background()
 		for i := 0; i < writers; i++ {
-			if _, err := e.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed rats culture pressure %d", i)}); err != nil {
+			if _, _, err := r.Submit(ctx, corpus.Document{Text: fmt.Sprintf("depressed rats culture pressure %d", i)}); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
 			}
@@ -71,7 +74,7 @@ func TestStressSnapshotIsolation(t *testing.T) {
 			defer wg.Done()
 			var lastGen uint64
 			for i := 0; i < reads; i++ {
-				s := e.Snapshot()
+				s := r.ShardSnapshot(0)
 				if s.Gen < lastGen {
 					t.Errorf("reader %d: generation went backwards %d -> %d", g, lastGen, s.Gen)
 					return
@@ -86,16 +89,16 @@ func TestStressSnapshotIsolation(t *testing.T) {
 				case 0:
 					ranked := s.RankTop(queries[i%len(queries)], 8)
 					keys := make([]string, 0, len(ranked))
-					for j, r := range ranked {
-						if r.Doc < 0 || r.Doc >= s.NumDocs() || s.Doc(r.Doc).ID == "" {
-							t.Errorf("reader %d: unresolvable doc index %d", g, r.Doc)
+					for j, hit := range ranked {
+						if hit.Doc < 0 || hit.Doc >= s.NumDocs() || s.Doc(hit.Doc).ID == "" {
+							t.Errorf("reader %d: unresolvable doc index %d", g, hit.Doc)
 							return
 						}
-						if j > 0 && ranked[j-1].Score < r.Score {
+						if j > 0 && ranked[j-1].Score < hit.Score {
 							t.Errorf("reader %d: scores not sorted", g)
 							return
 						}
-						keys = append(keys, fmt.Sprintf("%s:%x", s.Doc(r.Doc).ID, r.Score))
+						keys = append(keys, fmt.Sprintf("%s:%x", s.Doc(hit.Doc).ID, hit.Score))
 					}
 					if i%len(queries) == 0 {
 						pinMu.Lock()
@@ -115,9 +118,9 @@ func TestStressSnapshotIsolation(t *testing.T) {
 						return
 					}
 					for _, ranked := range batch {
-						for _, r := range ranked {
-							if r.Doc < 0 || r.Doc >= s.NumDocs() {
-								t.Errorf("reader %d: batch doc index %d out of range %d", g, r.Doc, s.NumDocs())
+						for _, hit := range ranked {
+							if hit.Doc < 0 || hit.Doc >= s.NumDocs() {
+								t.Errorf("reader %d: batch doc index %d out of range %d", g, hit.Doc, s.NumDocs())
 								return
 							}
 						}
@@ -135,22 +138,13 @@ func TestStressSnapshotIsolation(t *testing.T) {
 	<-writerDone
 
 	// Let the pipeline settle, then check the end state.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := e.Stats()
-		if st.Documents == 14+writers && !st.Compacting && st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline did not settle: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st := e.Stats()
+	st := waitStats(t, r, "the pipeline to settle", func(st shard.Stats) bool {
+		return st.Documents == 14+writers && !st.Compacting && st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0
+	})
 	if st.Compactions < 2 {
 		t.Fatalf("only %d compactions; stress target is ≥2", st.Compactions)
 	}
-	s := e.Snapshot()
+	s := r.ShardSnapshot(0)
 	if s.Gen < uint64(st.Compactions)+1 {
 		t.Fatalf("generation %d lower than compaction count %d", s.Gen, st.Compactions)
 	}
@@ -180,7 +174,7 @@ func TestStressSnapshotIsolation(t *testing.T) {
 func TestStressDeleteTraffic(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	e, coll := testEngine(t, Config{
+	r, coll := testRouter(t, engine.Config{
 		QueueSize:        1024,
 		BatchTick:        200 * time.Microsecond,
 		CompactThreshold: 1e-9,
@@ -204,7 +198,7 @@ func TestStressDeleteTraffic(t *testing.T) {
 		ctx := context.Background()
 		for i := 0; i < writers; i++ {
 			id := fmt.Sprintf("S%d", i)
-			if _, err := e.Submit(ctx, corpus.Document{ID: id, Text: fmt.Sprintf("depressed rats culture pressure %d", i)}); err != nil {
+			if _, _, err := r.Submit(ctx, corpus.Document{ID: id, Text: fmt.Sprintf("depressed rats culture pressure %d", i)}); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
 			}
@@ -219,7 +213,7 @@ func TestStressDeleteTraffic(t *testing.T) {
 		defer close(deleterDone)
 		ctx := context.Background()
 		for id := range toDelete {
-			if err := e.Delete(ctx, id); err != nil {
+			if _, err := r.Delete(ctx, id); err != nil {
 				t.Errorf("delete %s: %v", id, err)
 				return
 			}
@@ -233,7 +227,7 @@ func TestStressDeleteTraffic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < reads; i++ {
-				s := e.Snapshot()
+				s := r.ShardSnapshot(0)
 				if s.Model.NumDocs() != s.NumDocs() || s.Eng.NumDocs() != s.NumDocs() {
 					t.Errorf("reader %d: inconsistent snapshot: model=%d docs=%d eng=%d",
 						g, s.Model.NumDocs(), s.NumDocs(), s.Eng.NumDocs())
@@ -245,16 +239,16 @@ func TestStressDeleteTraffic(t *testing.T) {
 					return
 				}
 				ranked := s.RankTop(queries[i%len(queries)], 8)
-				for j, r := range ranked {
-					if r.Doc < 0 || r.Doc >= s.NumDocs() {
-						t.Errorf("reader %d: doc index %d out of range", g, r.Doc)
+				for j, hit := range ranked {
+					if hit.Doc < 0 || hit.Doc >= s.NumDocs() {
+						t.Errorf("reader %d: doc index %d out of range", g, hit.Doc)
 						return
 					}
-					if s.Dead.Has(r.Doc) {
-						t.Errorf("reader %d: tombstoned row %d (%s) surfaced", g, r.Doc, s.Doc(r.Doc).ID)
+					if s.Dead.Has(hit.Doc) {
+						t.Errorf("reader %d: tombstoned row %d (%s) surfaced", g, hit.Doc, s.Doc(hit.Doc).ID)
 						return
 					}
-					if j > 0 && ranked[j-1].Score < r.Score {
+					if j > 0 && ranked[j-1].Score < hit.Score {
 						t.Errorf("reader %d: scores not sorted", g)
 						return
 					}
@@ -267,19 +261,11 @@ func TestStressDeleteTraffic(t *testing.T) {
 	<-deleterDone
 
 	want := 14 + writers - len(deleted)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := e.Stats()
-		if st.Documents == want && st.Tombstones == 0 && !st.Compacting &&
-			st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline did not settle: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s := e.Snapshot()
+	waitStats(t, r, "the pipeline to settle", func(st shard.Stats) bool {
+		return st.Documents == want && st.Tombstones == 0 && !st.Compacting &&
+			st.QueueDepth == 0 && st.Compactions >= 2 && st.FoldedDocuments == 0
+	})
+	s := r.ShardSnapshot(0)
 	seen := make(map[string]int)
 	for j := 0; j < s.NumDocs(); j++ {
 		seen[s.Doc(j).ID]++

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
-	"repro/internal/neighbors"
+	"repro/internal/rank"
 	"repro/internal/text"
 	"repro/internal/weight"
 )
@@ -145,7 +145,8 @@ func runPhrases(seed int64) (*Result, error) {
 }
 
 // runNeighbors measures the §5.6 open issue: cosine evaluations vs recall
-// for cluster-pruned near-neighbor search over document vectors.
+// for cluster-pruned near-neighbor search over document vectors, on the
+// index the serving path uses (rank's IVF) with an explicit probe budget.
 func runNeighbors(seed int64) (*Result, error) {
 	r := &Result{ID: "neighbors", Title: "Cluster-pruned nearest-neighbor search over k-space",
 		Paper: "efficiently comparing queries to documents — finding near neighbors in high-dimension spaces (§5.6)"}
@@ -156,21 +157,20 @@ func runNeighbors(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := neighbors.Build(m.V, neighbors.Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	r.addf("documents: %d, clusters: %d", m.NumDocs(), ix.Clusters())
+	ix := rank.NewEngine(m.V).BuildIVF(rank.IVFConfig{MinRows: 1, Seed: uint64(seed)})
+	exact := rank.NewEngineExact(m.V)
+	clusters, _, _ := ix.IVF()
+	r.addf("documents: %d, clusters: %d", m.NumDocs(), clusters)
 	r.addf("%8s %10s %12s", "probes", "recall@10", "cos-evals")
 	for _, probes := range []int{1, 2, 4, 8} {
 		var recallSum float64
 		var evalSum int
 		for _, q := range s.Queries {
 			qhat := m.ProjectQuery(s.QueryVector(q.Text))
-			exact := neighbors.ExactScan(m.V, qhat, 10)
-			approx, evals := ix.Search(qhat, 10, probes)
-			recallSum += neighbors.Recall(approx, exact)
-			evalSum += evals
+			approx, st := ix.TopKProbe(qhat, 10, probes)
+			_, recall := eval.PrecisionRecall(itemDocs(approx), eval.RelevantSet(itemDocs(exact.TopK(qhat, 10))), 10)
+			recallSum += recall
+			evalSum += st.ScannedRows
 		}
 		recall := recallSum / float64(len(s.Queries))
 		evals := evalSum / len(s.Queries)
@@ -180,6 +180,14 @@ func runNeighbors(seed int64) (*Result, error) {
 	}
 	r.metric("docs", float64(m.NumDocs()))
 	return r, nil
+}
+
+func itemDocs(items []rank.Item) []int {
+	docs := make([]int, len(items))
+	for i, it := range items {
+		docs[i] = it.Doc
+	}
+	return docs
 }
 
 // runAnim3D emits the §4.5 animation's keyframes: the k=3 positions of

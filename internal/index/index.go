@@ -4,13 +4,13 @@
 // SVD took 18 CPU-hours; a database you cannot store and reload is not a
 // database.
 //
-// File layout: a JSON header (vocabulary, document IDs, parse options)
-// length-prefixed with a uint64, followed by the core.Model binary format.
+// File layout: one snapfile container (CRC'd header, section table and
+// payloads) holding the model's five sections as core.SnapshotSections
+// writes them, plus a JSON "index" section with the document IDs and
+// texts, the folded-in extras and the parse options.
 package index
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/snapfile"
 	"repro/internal/text"
 )
 
@@ -63,7 +64,7 @@ func Build(docs []corpus.Document, parse text.ParseOptions, cfg core.Config) (*I
 	return &Index{Model: m, Coll: coll}, nil
 }
 
-// header is the JSON-encoded metadata block.
+// header is the JSON "index" section.
 type header struct {
 	Version    int               `json:"version"`
 	DocIDs     []string          `json:"doc_ids"`
@@ -76,14 +77,14 @@ type header struct {
 	Aliases    map[string]string `json:"aliases,omitempty"`
 }
 
-const headerVersion = 1
+const (
+	headerVersion = 1
+	headerSection = "index"
+)
 
 // WriteTo serializes the index.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	h := header{
-		Version: headerVersion,
-	}
+	h := header{Version: headerVersion}
 	for _, d := range ix.Coll.Docs {
 		h.DocIDs = append(h.DocIDs, d.ID)
 		h.DocTexts = append(h.DocTexts, d.Text)
@@ -101,40 +102,39 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var n int64
-	if err := binary.Write(bw, binary.LittleEndian, uint64(len(hb))); err != nil {
-		return n, err
-	}
-	n += 8
-	hn, err := bw.Write(hb)
-	n += int64(hn)
+	model, err := ix.Model.SnapshotSections("")
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	mn, err := ix.Model.WriteTo(bw)
-	n += mn
+	blob, err := snapfile.Encode(append([]snapfile.Section{{Name: headerSection, Data: hb}}, model...))
 	if err != nil {
-		return n, err
+		return 0, err
 	}
-	return n, bw.Flush()
+	n, err := w.Write(blob)
+	return int64(n), err
 }
 
-// Read deserializes an index written by WriteTo. The collection (and its
+// Read deserializes an index written by WriteTo. The whole container is
+// read into memory and every checksum verified, so the returned index
+// owns its storage (no mapping to keep open). The collection (and its
 // term–document matrix) is rebuilt from the stored documents and parse
 // options; the factor model is loaded verbatim, so a model that was
 // SVD-updated or folded after building is restored exactly as saved.
 func Read(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var hlen uint64
-	if err := binary.Read(br, binary.LittleEndian, &hlen); err != nil {
-		return nil, fmt.Errorf("index: reading header length: %w", err)
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	if hlen > 1<<30 {
-		return nil, fmt.Errorf("index: implausible header length %d", hlen)
+	f, err := snapfile.OpenBytes(blob)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
 	}
-	hb := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hb); err != nil {
-		return nil, fmt.Errorf("index: reading header: %w", err)
+	if err := f.VerifyAll(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	hb, ok := f.Section(headerSection)
+	if !ok {
+		return nil, fmt.Errorf("index: container has no %q section", headerSection)
 	}
 	var h header
 	if err := json.Unmarshal(hb, &h); err != nil {
@@ -157,9 +157,9 @@ func Read(r io.Reader) (*Index, error) {
 		IncludeBigrams: h.Bigrams,
 		Aliases:        h.Aliases,
 	})
-	m, err := core.ReadModel(br)
+	m, err := core.ModelFromSnapshot(f, "")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: %w", err)
 	}
 	if m.NumTerms() < coll.Terms() {
 		return nil, fmt.Errorf("index: model has %d terms, vocabulary %d", m.NumTerms(), coll.Terms())

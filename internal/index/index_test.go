@@ -2,12 +2,16 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/snapfile"
 	"repro/internal/text"
 	"repro/internal/weight"
 )
@@ -67,7 +71,7 @@ func TestRoundTripInMemory(t *testing.T) {
 	r1 := ix.Model.Rank(ix.Coll.QueryVector(corpus.MEDQuery))
 	r2 := got.Model.Rank(q)
 	for i := range r1 {
-		if r1[i].Doc != r2[i].Doc || math.Abs(r1[i].Score-r2[i].Score) > 1e-15 {
+		if r1[i].Doc != r2[i].Doc || math.Float64bits(r1[i].Score) != math.Float64bits(r2[i].Score) {
 			t.Fatal("loaded index ranks differently")
 		}
 	}
@@ -136,10 +140,37 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("expected error")
 	}
-	// Huge header length.
-	big := make([]byte, 8)
-	big[7] = 0xff
-	if _, err := Read(bytes.NewReader(big)); err == nil {
-		t.Fatal("expected error for implausible header")
+	if _, err := Read(bytes.NewReader(nil)); err == nil {
+		t.Fatal("expected error for empty input")
+	}
+	var buf bytes.Buffer
+	if _, err := buildTestIndex(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if _, err := Read(bytes.NewReader(full)); err != nil {
+		t.Fatalf("intact image rejected: %v", err)
+	}
+	for _, cut := range []int{10, 80, len(full) / 2} {
+		if _, err := Read(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("expected error for truncation at %d bytes", cut)
+		}
+	}
+	// One flipped payload byte must trip its section's CRC.
+	f, err := snapfile.OpenBytes(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot := append([]byte(nil), full...)
+	rot[f.SectionOffset("V")+3] ^= 0x40
+	if _, err := Read(bytes.NewReader(rot)); err == nil || !strings.Contains(err.Error(), "CRC") {
+		t.Fatalf("bit rot: got %v, want a CRC error", err)
+	}
+	// A container from a different format version is refused outright.
+	old := append([]byte(nil), full...)
+	binary.LittleEndian.PutUint32(old[4:], snapfile.Version+1)
+	binary.LittleEndian.PutUint32(old[36:], crc32.ChecksumIEEE(old[:36]))
+	if _, err := Read(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version: got %v, want a version error", err)
 	}
 }

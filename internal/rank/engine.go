@@ -304,36 +304,11 @@ func (e *Engine) TopKSkipWithStats(q []float64, k int, skip Skip) ([]Item, Scree
 // materialized.
 func (e *Engine) topKExact(qn []float64, k int, skip Skip) []Item {
 	n := e.docs.Rows
-	nw := runtime.GOMAXPROCS(0)
-	if n*e.docs.Cols < scoreParallelCutoff || nw < 2 || n < 2 {
-		s := newSelector(k)
-		e.offerSpan(s, qn, 0, n, skip)
-		return s.finish()
-	}
-	if nw > n {
-		nw = n
-	}
-	sels := make([]*selector, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := newSelector(k)
-			e.offerSpan(s, qn, lo, hi, skip)
-			sels[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return mergeSelectors(sels, k)
+	items, _ := runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
+		e.offerSpan(s, qn, lo, hi, skip)
+		return 0
+	})
+	return items
 }
 
 // batchBlock bounds how many queries are scored per gemm so the score

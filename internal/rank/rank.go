@@ -71,16 +71,31 @@ func TopKSkip(scores []float64, ids []int, k int, skip Skip) []Item {
 	if k <= 0 {
 		return []Item{}
 	}
+	items, _ := runSpans(n, k, n >= selectParallelCutoff, func(s *selector, lo, hi int) int {
+		offerScores(s, scores, ids, skip, lo, hi)
+		return 0
+	})
+	return items
+}
+
+// runSpans is the package's one selector fan-out: it shards rows [0, n)
+// across GOMAXPROCS workers when parallel says the scan is big enough —
+// one bounded selector each, merged under the usual total order — and
+// returns the merged top-k plus the summed kernel counts. The kernel
+// must be deterministic per row; the merge then makes the result
+// independent of the worker count.
+func runSpans(n, k int, parallel bool, kernel func(s *selector, lo, hi int) int) ([]Item, int) {
 	nw := runtime.GOMAXPROCS(0)
-	if n < selectParallelCutoff || nw < 2 {
+	if !parallel || nw < 2 || n < 2 {
 		s := newSelector(k)
-		offerScores(s, scores, ids, skip, 0, n)
-		return s.finish()
+		c := kernel(s, 0, n)
+		return s.finish(), c
 	}
 	if nw > n {
 		nw = n
 	}
 	sels := make([]*selector, nw)
+	counts := make([]int, nw)
 	var wg sync.WaitGroup
 	chunk := (n + nw - 1) / nw
 	for w := 0; w < nw; w++ {
@@ -95,12 +110,16 @@ func TopKSkip(scores []float64, ids []int, k int, skip Skip) []Item {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			s := newSelector(k)
-			offerScores(s, scores, ids, skip, lo, hi)
+			counts[w] = kernel(s, lo, hi)
 			sels[w] = s
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	return mergeSelectors(sels, k)
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	return mergeSelectors(sels, k), total
 }
 
 // offerScores feeds scores[lo:hi] through the selector, honoring the skip

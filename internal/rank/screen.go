@@ -2,7 +2,6 @@ package rank
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/dense"
@@ -244,38 +243,13 @@ func (e *Engine) topKScreened(qn []float64, k int, skip Skip) ([]Item, ScreenSta
 // threshold L. The scan shards exactly like the float64 scoring scan.
 func (e *Engine) screenPass(buf []float32, q32 []float32, slack float64, k int, skip Skip) float64 {
 	n := e.docs.Rows
-	nw := runtime.GOMAXPROCS(0)
-	if n*e.docs.Cols < scoreParallelCutoff || nw < 2 || n < 2 {
-		s := newSelector(k)
-		e.screenSpan(s, buf, q32, slack, 0, n, skip)
-		return s.finish()[k-1].Score
-	}
-	if nw > n {
-		nw = n
-	}
-	sels := make([]*selector, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := newSelector(k)
-			e.screenSpan(s, buf, q32, slack, lo, hi, skip)
-			sels[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// Every live row was offered and k ≤ live (callers clamp), so the
+	// Every live row is offered and k ≤ live (callers clamp), so the
 	// merge holds at least k items.
-	return mergeSelectors(sels, k)[k-1].Score
+	lbs, _ := runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
+		e.screenSpan(s, buf, q32, slack, lo, hi, skip)
+		return 0
+	})
+	return lbs[k-1].Score
 }
 
 // screenSpan is the stage-1 kernel: float32 dot against mirror rows
@@ -309,41 +283,9 @@ func (e *Engine) screenSpan(s *selector, buf []float32, q32 []float32, slack flo
 // the exact path uses, so surviving scores are bit-identical to it.
 func (e *Engine) rescorePass(buf []float32, qn []float64, slack float64, k int, low float64, skip Skip) ([]Item, int) {
 	n := e.docs.Rows
-	nw := runtime.GOMAXPROCS(0)
-	if n*e.docs.Cols < scoreParallelCutoff || nw < 2 || n < 2 {
-		s := newSelector(k)
-		cands := e.rescoreSpan(s, buf, qn, slack, low, 0, n, skip)
-		return s.finish(), cands
-	}
-	if nw > n {
-		nw = n
-	}
-	sels := make([]*selector, nw)
-	counts := make([]int, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := newSelector(k)
-			counts[w] = e.rescoreSpan(s, buf, qn, slack, low, lo, hi, skip)
-			sels[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	cands := 0
-	for _, c := range counts {
-		cands += c
-	}
-	return mergeSelectors(sels, k), cands
+	return runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
+		return e.rescoreSpan(s, buf, qn, slack, low, lo, hi, skip)
+	})
 }
 
 // rescoreSpan is the stage-2 kernel over rows [lo, hi): cheap float32
@@ -380,36 +322,11 @@ func (e *Engine) rescoreSpan(s *selector, buf []float32, qn []float64, slack flo
 // clamp k ≤ live, so at least k bounds are offered.
 func (e *Engine) lbThreshold(buf []float32, slack float64, k int, skip Skip) float64 {
 	n := len(buf)
-	nw := runtime.GOMAXPROCS(0)
-	if n < selectParallelCutoff || nw < 2 {
-		s := newSelector(k)
-		e.lbSpan(s, buf, slack, 0, n, skip)
-		return s.finish()[k-1].Score
-	}
-	if nw > n {
-		nw = n
-	}
-	sels := make([]*selector, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := newSelector(k)
-			e.lbSpan(s, buf, slack, lo, hi, skip)
-			sels[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return mergeSelectors(sels, k)[k-1].Score
+	lbs, _ := runSpans(n, k, n >= selectParallelCutoff, func(s *selector, lo, hi int) int {
+		e.lbSpan(s, buf, slack, lo, hi, skip)
+		return 0
+	})
+	return lbs[k-1].Score
 }
 
 // lbSpan offers the certified lower bound of already-screened live rows

@@ -1,7 +1,6 @@
 package rank
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/dense"
@@ -104,49 +103,6 @@ func getScreen8Buf(n int) *screen8Buf {
 	b.d8 = b.d8[:n]
 	b.s32 = b.s32[:n]
 	return b
-}
-
-// runSpans shards rows [0, n) across workers — one bounded selector
-// each, merged under the usual total order, exactly the sharding every
-// screening pass uses — and returns the merged top-k plus the summed
-// kernel counts. The kernel must be deterministic per row; the merge
-// then makes the result independent of the worker count.
-func runSpans(n, k int, parallel bool, kernel func(s *selector, lo, hi int) int) ([]Item, int) {
-	nw := runtime.GOMAXPROCS(0)
-	if !parallel || nw < 2 || n < 2 {
-		s := newSelector(k)
-		c := kernel(s, 0, n)
-		return s.finish(), c
-	}
-	if nw > n {
-		nw = n
-	}
-	sels := make([]*selector, nw)
-	counts := make([]int, nw)
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := newSelector(k)
-			counts[w] = kernel(s, lo, hi)
-			sels[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return mergeSelectors(sels, k), total
 }
 
 // topKScreened8 runs the three-tier scan for a normalized query.

@@ -75,16 +75,10 @@ type Server struct {
 	logf    func(format string, args ...any)
 }
 
-// New builds a server around an existing collection and model with
-// default options. The model must have been built from the collection
-// (same vocabulary and documents).
-func New(coll *corpus.Collection, model *core.Model) (*Server, error) {
-	return NewWithOptions(coll, model, Options{})
-}
-
-// NewWithOptions is New with explicit pipeline and HTTP options. The
-// serving tier takes ownership of the model: the caller must not mutate
-// it afterwards.
+// NewWithOptions builds a server around an existing collection and
+// model. The model must have been built from the collection (same
+// vocabulary and documents); the serving tier takes ownership of it, so
+// the caller must not mutate it afterwards.
 func NewWithOptions(coll *corpus.Collection, model *core.Model, opts Options) (*Server, error) {
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -98,10 +92,7 @@ func NewWithOptions(coll *corpus.Collection, model *core.Model, opts Options) (*
 	router, err := shard.New(coll, model, shard.Config{
 		Shards: opts.Shards,
 		Engine: opts.Engine,
-		// The engine-level threshold becomes the router's global one: same
-		// measure (‖VᵀV−I‖_F over all document rows), coordinated landing.
-		CompactThreshold: opts.Engine.CompactThreshold,
-		Logf:             opts.Logf,
+		Logf:   opts.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -148,11 +139,6 @@ func newFromRouter(router *shard.Router, coll *corpus.Collection, opts Options) 
 // Router exposes the sharded serving tier (for shutdown wiring, stats
 // and tests).
 func (s *Server) Router() *shard.Router { return s.router }
-
-// Engine exposes shard 0's pipeline — the only one on an unsharded
-// server, which is what existing callers mean by "the engine". Sharded
-// callers should use Router.
-func (s *Server) Engine() *engine.Engine { return s.router.Shard(0) }
 
 // Close stops the compaction monitor, drains every shard's fold-in
 // queue and stops the update pipelines; after it returns, every

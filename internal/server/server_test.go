@@ -251,7 +251,7 @@ func TestNewRejectsMismatchedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	model.FoldInDocs(coll.DocVectors(corpus.MEDUpdateTopics))
-	if _, err := New(coll, model); err == nil {
+	if _, err := NewWithOptions(coll, model, Options{}); err == nil {
 		t.Fatal("expected mismatch error")
 	}
 }
@@ -440,7 +440,7 @@ func TestDuplicateDocumentID(t *testing.T) {
 		t.Fatal("auto id collided with user-supplied id")
 	}
 	// Every document appears exactly once in the final snapshot.
-	snap := s.Engine().Snapshot()
+	snap := s.Router().ShardSnapshot(0)
 	seen := map[string]int{}
 	for j := 0; j < snap.NumDocs(); j++ {
 		seen[snap.Doc(j).ID]++
@@ -479,7 +479,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.Engine().Snapshot().NumDocs(); n != 15 {
+	if n := s.Router().ShardSnapshot(0).NumDocs(); n != 15 {
 		t.Fatalf("after drain: %d docs want 15", n)
 	}
 }
@@ -521,7 +521,7 @@ func TestRequestTimeoutOnSubmitWait(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Engine().Snapshot()
+	snap := s.Router().ShardSnapshot(0)
 	found := false
 	for j := 0; j < snap.NumDocs(); j++ {
 		if snap.Doc(j).ID == "slow" {
@@ -553,7 +553,7 @@ func TestShutdownDrainsQueuedFoldIns(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Engine().Snapshot().NumDocs(); got != 14+n {
+	if got := s.Router().ShardSnapshot(0).NumDocs(); got != 14+n {
 		t.Fatalf("after drain: %d docs want %d", got, 14+n)
 	}
 	// A post-shutdown submission is refused, not hung.

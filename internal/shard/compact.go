@@ -29,8 +29,7 @@
 //     fold order], applies the plan against its base, and lands it
 //     (engine.FinishExternalCompaction) — which re-folds any documents
 //     that arrived during the window onto the NEW basis, bumps the
-//     coordinate epoch, and rebuilds the scoring cache and IVF index,
-//     exactly like a native compaction.
+//     coordinate epoch, and rebuilds the scoring cache and IVF index.
 //
 // Failure handling: any error before step 5 aborts every frozen shard
 // back to normal operation with nothing changed. The plan itself never
@@ -406,8 +405,19 @@ func (r *Router) orthogonality(snaps []*engine.Snapshot) float64 {
 	return g.FrobeniusNorm()
 }
 
-// monitor drives threshold-triggered compaction, mirroring the single
-// engine's maybeCompact but over the global orthogonality measure.
+// startMonitor launches the compaction monitor when the configured
+// threshold asks for one.
+func (r *Router) startMonitor() {
+	if r.cfg.Engine.CompactThreshold > 0 {
+		r.monitorStop = make(chan struct{})
+		r.monitorDone = make(chan struct{})
+		go r.monitor()
+	}
+}
+
+// monitor is the system's one compaction trigger: each tick it compacts
+// when tombstones are waiting to be folded out or the global
+// orthogonality loss has crossed Engine.CompactThreshold.
 func (r *Router) monitor() {
 	defer close(r.monitorDone)
 	ticker := time.NewTicker(r.checkInterval())
@@ -430,7 +440,7 @@ func (r *Router) monitor() {
 			if !needDead && folded == 0 {
 				continue
 			}
-			if !needDead && r.orthogonality(snaps) <= r.cfg.CompactThreshold {
+			if !needDead && r.orthogonality(snaps) <= r.cfg.Engine.CompactThreshold {
 				continue
 			}
 			if err := r.Compact(); err != nil {

@@ -52,16 +52,13 @@ type Config struct {
 	// fails when there are more shards than initial documents.
 	Shards int
 	// Engine is the per-shard engine configuration. Its CompactThreshold
-	// is ignored: shards must never compact independently (each
-	// SVD-update rotates the latent basis, and independently rotated
-	// shards stop being score-comparable), so the router zeroes it and
-	// drives compaction itself via CompactThreshold below.
-	Engine engine.Config
-	// CompactThreshold is the global document-orthogonality loss
+	// is the router's: the global document-orthogonality loss
 	// (‖VᵀV − I‖_F over the conceptual concatenated V) above which the
-	// router runs a coordinated compaction; 0 disables the monitor
-	// (explicit Compact calls still work).
-	CompactThreshold float64
+	// monitor runs a coordinated compaction; 0 disables the monitor
+	// (explicit Compact calls still work). Shards never compact
+	// independently — each SVD-update rotates the latent basis, and
+	// independently rotated shards stop being score-comparable.
+	Engine engine.Config
 	// CompactCheck is how often the monitor evaluates the threshold
 	// (default 2×BatchTick, clamped to [1ms, 1s]).
 	CompactCheck time.Duration
@@ -200,12 +197,6 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	engCfg := cfg.Engine
-	// Shards never compact on their own: one shard rotating its basis
-	// alone would break cross-shard score comparability. The router's
-	// monitor drives the coordinated equivalent.
-	engCfg.CompactThreshold = 0
-
 	idx := make([][]int, n)
 	for j := 0; j < coll.Size(); j++ {
 		idx[j%n] = append(idx[j%n], j)
@@ -224,7 +215,7 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			engines[s], errs[s] = engine.New(coll.Subset(idx[s]), model.DocSubsetView(idx[s]), engCfg)
+			engines[s], errs[s] = engine.New(coll.Subset(idx[s]), model.DocSubsetView(idx[s]), cfg.Engine)
 		}(s)
 	}
 	wg.Wait()
@@ -241,11 +232,7 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 		}
 	}
 	r.shards = engines
-	if cfg.CompactThreshold > 0 {
-		r.monitorStop = make(chan struct{})
-		r.monitorDone = make(chan struct{})
-		go r.monitor()
-	}
+	r.startMonitor()
 	return r, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -113,9 +114,10 @@ func TestRouterSearchParity(t *testing.T) {
 // TestRouterParityAcrossSubmitsAndCompaction drives two routers — one
 // shard vs three — through identical submission sequences and two
 // coordinated compaction cycles, checking byte parity after every step.
-// The 1-shard side is anchored to ground truth by the engine and core
-// parity tests (external compaction ≡ UpdateDocs, distributed plan ≡
-// UpdateDocs); this test closes the loop N-shard ≡ 1-shard.
+// The 1-shard side is anchored to ground truth by
+// TestOneShardCompactMatchesLibraryPath (Router.Compact ≡ DowndateDocs +
+// UpdateDocsOpts, bit for bit); this test closes the loop N-shard ≡
+// 1-shard.
 func TestRouterParityAcrossSubmitsAndCompaction(t *testing.T) {
 	coll, model, raws := synthFixture(t, 40, 6)
 	mk := func(shards int) *Router {
@@ -298,10 +300,9 @@ func TestRouterPerShardQueueFull(t *testing.T) {
 func TestRouterMonitorCompacts(t *testing.T) {
 	coll, model, raws := synthFixture(t, 40, 6)
 	r, err := New(coll, model, Config{
-		Shards:           2,
-		Engine:           engine.Config{BatchTick: time.Millisecond},
-		CompactThreshold: 1e-9,
-		CompactCheck:     time.Millisecond,
+		Shards:       2,
+		Engine:       engine.Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9},
+		CompactCheck: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,19 +314,156 @@ func TestRouterMonitorCompacts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second) //lsilint:ignore walltime test deadline
-	for {
-		st := r.Stats()
-		if st.Compactions >= 1 && st.FoldedDocuments == 0 {
-			break
-		}
-		if time.Now().After(deadline) { //lsilint:ignore walltime test deadline
-			t.Fatalf("monitor never compacted: %+v", st)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitRouter(t, r, "the monitor to compact", func(st Stats) bool {
+		return st.Compactions >= 1 && st.FoldedDocuments == 0
+	})
 	if hits, _ := r.Search(raws[0], 5); len(hits) == 0 {
 		t.Fatal("no hits after monitor compaction")
+	}
+}
+
+// waitRouter spins until pred accepts the router's stats.
+func waitRouter(t *testing.T, r *Router, what string, pred func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second) //lsilint:ignore walltime test deadline
+	for !pred(r.Stats()) {
+		if time.Now().After(deadline) { //lsilint:ignore walltime test deadline
+			t.Fatalf("timed out waiting for %s: %+v", what, r.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineThresholdIsTheMonitorKnob pins the one-knob contract:
+// Engine.CompactThreshold — the field lsiserver's -compact-threshold
+// sets and the only compaction setting a caller passing
+// Config{Engine: cfg} can give — starts the monitor on both
+// construction paths, and zero leaves compaction to explicit Compact
+// calls.
+func TestEngineThresholdIsTheMonitorKnob(t *testing.T) {
+	coll, model, _ := synthFixture(t, 40, 6)
+	ctx := context.Background()
+	fold := func(r *Router, tag string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			doc := corpus.Document{ID: fmt.Sprintf("%s-%d", tag, i), Text: coll.Docs[i].Text}
+			if _, _, err := r.Submit(ctx, doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compacted := func(st Stats) bool { return st.Compactions >= 1 && st.FoldedDocuments == 0 }
+	on := engine.Config{BatchTick: time.Millisecond, CompactThreshold: 1e-9}
+
+	built, err := New(coll, model, Config{Engine: on})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeRouter(t, built)
+	fold(built, "built")
+	waitRouter(t, built, "New's monitor to compact", compacted)
+
+	path := filepath.Join(t.TempDir(), "tier.lsnp")
+	if err := built.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, f, err := Restore(path, Config{Engine: on}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer closeRouter(t, restored)
+	fold(restored, "restored")
+	waitRouter(t, restored, "Restore's monitor to compact", compacted)
+
+	off, f2, err := Restore(path, Config{Engine: engine.Config{BatchTick: time.Millisecond}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	defer closeRouter(t, off)
+	if off.monitorStop != nil {
+		t.Fatal("threshold 0 started a monitor")
+	}
+	fold(off, "off")
+	if st := off.Stats(); st.Compactions != 0 || st.FoldedDocuments != 3 {
+		t.Fatalf("without a monitor: %+v", st)
+	}
+	if err := off.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := off.Stats(); !compacted(st) {
+		t.Fatalf("explicit Compact: %+v", st)
+	}
+}
+
+// TestOneShardCompactMatchesLibraryPath anchors the single-engine
+// configuration to ground truth: after a scripted submit/delete sequence
+// and one Router.Compact, shard 0's factors are bit-identical to the
+// library path on a clone of the base — DowndateDocs over the live rows,
+// then UpdateDocsOpts over the live pending documents — under both
+// update strategies.
+func TestOneShardCompactMatchesLibraryPath(t *testing.T) {
+	for _, strategy := range []core.UpdateStrategy{core.StrategyOBrien, core.StrategyGK} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			coll, model, _ := synthFixture(t, 40, 6)
+			want := model.SharedClone()
+			r, err := New(coll, model, Config{Engine: engine.Config{
+				BatchTick: time.Millisecond, CompactionStrategy: strategy}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeRouter(t, r)
+			ctx := context.Background()
+			var pending []corpus.Document
+			for i := 0; i < 5; i++ {
+				doc := corpus.Document{ID: fmt.Sprintf("new-%d", i), Text: coll.Docs[3*i+1].Text}
+				if _, _, err := r.Submit(ctx, doc); err != nil {
+					t.Fatal(err)
+				}
+				if i != 2 {
+					pending = append(pending, doc)
+				}
+			}
+			const deadBase = 7
+			for _, id := range []string{"new-2", coll.Docs[deadBase].ID} {
+				if _, err := r.Delete(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := r.Compact(); err != nil {
+				t.Fatal(err)
+			}
+
+			var live []int
+			for j := 0; j < coll.Size(); j++ {
+				if j != deadBase {
+					live = append(live, j)
+				}
+			}
+			if err := want.DowndateDocs(live); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.UpdateDocsOpts(coll.DocVectors(pending), core.UpdateOptions{Strategy: strategy}); err != nil {
+				t.Fatal(err)
+			}
+			got := r.ShardSnapshot(0).Model
+			if got.NumDocs() != want.NumDocs() || got.FoldedDocs() != 0 {
+				t.Fatalf("router model %d docs (%d folded), library %d", got.NumDocs(), got.FoldedDocs(), want.NumDocs())
+			}
+			for name, pair := range map[string][2][]float64{
+				"U": {got.U.Data, want.U.Data}, "S": {got.S, want.S}, "V": {got.V.Data, want.V.Data},
+			} {
+				if len(pair[0]) != len(pair[1]) {
+					t.Fatalf("%s: %d values, library %d", name, len(pair[0]), len(pair[1]))
+				}
+				for i := range pair[0] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("%s[%d]: router %v != library %v", name, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		})
 	}
 }
 

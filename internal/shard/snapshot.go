@@ -343,9 +343,6 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 	opts := meta.Opts.parseOptions()
 	vocab := text.NewVocabularyFromTerms(terms, opts)
 
-	engCfg := cfg.Engine
-	engCfg.CompactThreshold = 0 // shards never compact independently
-
 	r := &Router{cfg: cfg, coll: corpus.Restore(nil, vocab, opts)}
 	r.nextOrd.Store(meta.NextOrd)
 	r.nextAuto.Store(meta.NextAuto)
@@ -360,7 +357,7 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 		}
 	}
 	for s := range engines {
-		eng, err := r.restoreShard(f, s, vocab, opts, engCfg)
+		eng, err := r.restoreShard(f, s, vocab, opts, cfg.Engine)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
@@ -368,11 +365,7 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 		engines[s] = eng
 	}
 	r.shards = engines
-	if cfg.CompactThreshold > 0 {
-		r.monitorStop = make(chan struct{})
-		r.monitorDone = make(chan struct{})
-		go r.monitor()
-	}
+	r.startMonitor()
 	return r, nil
 }
 

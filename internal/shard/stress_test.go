@@ -45,11 +45,11 @@ func TestStressShardedScatterGather(t *testing.T) {
 	r, err := New(coll, model, Config{
 		Shards: 3,
 		Engine: engine.Config{
-			QueueSize: 1024,
-			BatchTick: 200 * time.Microsecond,
+			QueueSize:        1024,
+			BatchTick:        200 * time.Microsecond,
+			CompactThreshold: 1e-9, // every fold crosses it: maximum churn
 		},
-		CompactThreshold: 1e-9, // every fold crosses it: maximum churn
-		CompactCheck:     200 * time.Microsecond,
+		CompactCheck: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +241,11 @@ func TestStressShardedDeleteTraffic(t *testing.T) {
 	r, err := New(coll, model, Config{
 		Shards: 3,
 		Engine: engine.Config{
-			QueueSize: 1024,
-			BatchTick: 200 * time.Microsecond,
+			QueueSize:        1024,
+			BatchTick:        200 * time.Microsecond,
+			CompactThreshold: 1e-9,
 		},
-		CompactThreshold: 1e-9,
-		CompactCheck:     200 * time.Microsecond,
+		CompactCheck: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package lsi
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -139,8 +140,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	h1 := x.Search("blood abnormalities", 5)
 	h2 := got.Search("blood abnormalities", 5)
 	for i := range h1 {
-		if h1[i].ID != h2[i].ID {
-			t.Fatal("loaded index ranks differently")
+		if h1[i].ID != h2[i].ID || math.Float64bits(h1[i].Cosine) != math.Float64bits(h2[i].Cosine) {
+			t.Fatalf("loaded index ranks differently at %d: %+v vs %+v", i, h1[i], h2[i])
 		}
 	}
 	// The added doc's metadata survives.
