@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-full build test race race-hot stress vet lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-e2e bench-compare
+.PHONY: check check-full build test race race-hot stress vet lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-rank bench-e2e bench-compare
 
 # check is the fast pre-commit loop: vet, build, tests, the race detector
 # on the hot parallel packages only, and the project linter. Run it on
@@ -103,6 +103,15 @@ bench-update:
 # sizes (the -save-model / -load-model path).
 bench-mem:
 	$(GO) run ./cmd/lsibench -memperf -out BENCH_mem.json
+
+# bench-rank runs internal/rank's micro-benchmark table (BenchmarkTopKTable:
+# {exact, float32-first, int8-first} × {flat, ivf} × {single, batch of 16}
+# at 12 000×64 and 50 000×100) at GOMAXPROCS 1 and 2, six times each — read
+# the best of six per case. It answers what bench-e2e cannot separate:
+# which first tier is fastest, and whether the span fan-out of the
+# un-indexed range still pays (flat single at -cpu 2 vs 1).
+bench-rank:
+	$(GO) test -run '^$$' -bench TopKTable -cpu 1,2 -count 6 ./internal/rank
 
 # bench-e2e runs the repository's benchmark (bench/README.md) — the four
 # workloads BENCHMARK.json names, end-to-end metrics only — appending one

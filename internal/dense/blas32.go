@@ -16,7 +16,7 @@ import (
 // set (see internal/rank and docs/ALGORITHMS.md for the error bound).
 
 // MatrixF32 is a dense row-major float32 matrix — storage for screening
-// mirrors and screened score blocks. It deliberately mirrors Matrix's
+// mirrors and k-means centroid and assignment blocks. It deliberately mirrors Matrix's
 // field layout instead of being generic: the two types never mix inside
 // a kernel.
 type MatrixF32 struct {
@@ -117,11 +117,12 @@ func Norm2F32(x []float32) float64 {
 }
 
 // MulBTF32Into computes out = a·bᵀ into an existing a.Rows×b.Rows float32
-// matrix — the gemm behind batched query screening, structured exactly
-// like the float64 MulBTInto: work splits across workers along whichever
-// operand has more rows, and each worker sweeps b in blocks so a handful
-// of b rows stay cache-hot across consecutive a rows. Every output
-// element is one DotF32, so the result is identical for any worker count.
+// matrix — the gemm behind the cluster index's row-to-centroid
+// assignment (rank.assignRowsF32), structured exactly like the float64
+// MulBTInto: work splits across workers along whichever operand has more
+// rows, and each worker sweeps b in blocks so a handful of b rows stay
+// cache-hot across consecutive a rows. Every output element is one
+// DotF32, so the result is identical for any worker count.
 func MulBTF32Into(out, a, b *MatrixF32) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: MulBTF32 inner dims %d != %d", a.Cols, b.Cols))

@@ -3,8 +3,6 @@ package dense
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Int8 companion kernels for the three-tier exact top-k scan: the coarse
@@ -32,39 +30,8 @@ type MatrixI8 struct {
 	Data       []int8 // len == Rows*Cols, Data[i*Cols+j] == element (i,j)
 }
 
-// NewI8 returns a zeroed r×c int8 matrix.
-func NewI8(r, c int) *MatrixI8 {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("dense: negative dimension %dx%d", r, c))
-	}
-	return &MatrixI8{Rows: r, Cols: c, Data: make([]int8, r*c)}
-}
-
 // Row returns a view (not a copy) of row i.
 func (m *MatrixI8) Row(i int) []int8 {
-	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("dense: row %d out of range %d", i, m.Rows))
-	}
-	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// MatrixI32 is a dense row-major int32 matrix — the raw integer score
-// blocks the int8 gemm produces.
-type MatrixI32 struct {
-	Rows, Cols int
-	Data       []int32
-}
-
-// NewI32 returns a zeroed r×c int32 matrix.
-func NewI32(r, c int) *MatrixI32 {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("dense: negative dimension %dx%d", r, c))
-	}
-	return &MatrixI32{Rows: r, Cols: c, Data: make([]int32, r*c)}
-}
-
-// Row returns a view (not a copy) of row i.
-func (m *MatrixI32) Row(i int) []int32 {
 	if i < 0 || i >= m.Rows {
 		panic(fmt.Sprintf("dense: row %d out of range %d", i, m.Rows))
 	}
@@ -149,94 +116,4 @@ func ResidualI8(x []float64, q []int8, scale float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s)
-}
-
-// MulBTI8Into computes out = a·bᵀ into an existing a.Rows×b.Rows int32
-// matrix — the integer gemm behind batched query screening, structured
-// exactly like MulBTF32Into: work splits across workers along whichever
-// operand has more rows, and each worker sweeps b in blocks so a handful
-// of b rows stay cache-hot across consecutive a rows. Every output
-// element is one exact DotI8, so the result is identical for any worker
-// count — and, unlike the float gemms, for any summation order too.
-func MulBTI8Into(out *MatrixI32, a, b *MatrixI8) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: MulBTI8 inner dims %d != %d", a.Cols, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("dense: MulBTI8 out %dx%d want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-	work := a.Rows * b.Rows * a.Cols
-	nw := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || nw < 2 {
-		mulBTI8Range(out, a, b, 0, a.Rows, 0, b.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	if a.Rows >= b.Rows {
-		if nw > a.Rows {
-			nw = a.Rows
-		}
-		chunk := (a.Rows + nw - 1) / nw
-		for w := 0; w < nw; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > a.Rows {
-				hi = a.Rows
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				mulBTI8Range(out, a, b, lo, hi, 0, b.Rows)
-			}(lo, hi)
-		}
-	} else {
-		// Few a rows (a query block against a large tier): split the b
-		// rows, i.e. disjoint column ranges of out.
-		if nw > b.Rows {
-			nw = b.Rows
-		}
-		chunk := (b.Rows + nw - 1) / nw
-		for w := 0; w < nw; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > b.Rows {
-				hi = b.Rows
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				mulBTI8Range(out, a, b, 0, a.Rows, lo, hi)
-			}(lo, hi)
-		}
-	}
-	wg.Wait()
-}
-
-// mulBTI8Block is how many rows of b a worker keeps hot while sweeping
-// its a rows — four times the float32 block, since int8 rows are a
-// quarter of the bytes and the same L2 budget holds four times as many.
-const mulBTI8Block = 384
-
-// mulBTI8Range fills out[i][j] = a.Row(i)·b.Row(j) for i in [i0,i1),
-// j in [j0,j1), blocking over j for cache reuse.
-//
-//lsilint:noalloc
-func mulBTI8Range(out *MatrixI32, a, b *MatrixI8, i0, i1, j0, j1 int) {
-	for jb := j0; jb < j1; jb += mulBTI8Block {
-		jend := jb + mulBTI8Block
-		if jend > j1 {
-			jend = j1
-		}
-		for i := i0; i < i1; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := jb; j < jend; j++ {
-				orow[j] = DotI8(arow, b.Row(j))
-			}
-		}
-	}
 }

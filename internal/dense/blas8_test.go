@@ -116,22 +116,3 @@ func TestQuantizeI8ExtremeCoordinateClamps(t *testing.T) {
 		t.Fatalf("extreme coordinate q = %d, want 127", q[4])
 	}
 }
-
-func TestMulBTI8IntoMatchesDot(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, shape := range []struct{ ar, br, c int }{
-		{1, 1, 1}, {3, 5, 8}, {17, 400, 33}, {64, 1000, 50},
-	} {
-		a := &MatrixI8{Rows: shape.ar, Cols: shape.c, Data: randI8(rng, shape.ar*shape.c)}
-		b := &MatrixI8{Rows: shape.br, Cols: shape.c, Data: randI8(rng, shape.br*shape.c)}
-		out := NewI32(shape.ar, shape.br)
-		MulBTI8Into(out, a, b)
-		for i := 0; i < shape.ar; i++ {
-			for j := 0; j < shape.br; j++ {
-				if want := DotI8(a.Row(i), b.Row(j)); out.Row(i)[j] != want {
-					t.Fatalf("shape %+v: out[%d][%d] = %d, want %d", shape, i, j, out.Row(i)[j], want)
-				}
-			}
-		}
-	}
-}

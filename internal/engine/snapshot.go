@@ -70,8 +70,10 @@ func (s *Snapshot) RankTop(raw []float64, n int) []core.Ranked {
 	return toRanked(items)
 }
 
-// RankBatch scores a block of raw query vectors as one gemm pass and
-// returns the top n documents for each, matching core.Model.RankBatch.
+// RankBatch scores a block of raw query vectors in one engine call — one
+// gemm on an exact engine, the screened scan once per query otherwise —
+// and returns the top n documents for each, matching
+// core.Model.RankBatch.
 func (s *Snapshot) RankBatch(raws [][]float64, n int) [][]core.Ranked {
 	if len(raws) == 0 {
 		return nil

@@ -2,8 +2,6 @@ package rank
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dense"
@@ -220,31 +218,9 @@ func (e *Engine) offerSpan(s *selector, qn []float64, lo, hi int, skip Skip) {
 
 func (e *Engine) scoreRange(out []float64, qn []float64) {
 	n := e.docs.Rows
-	nw := runtime.GOMAXPROCS(0)
-	if n*e.docs.Cols < scoreParallelCutoff || nw < 2 || n < 2 {
-		e.scoreSpan(out, qn, 0, n)
-		return
-	}
-	if nw > n {
-		nw = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			e.scoreSpan(out, qn, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelRange(n, n*e.docs.Cols >= scoreParallelCutoff, func(lo, hi int) {
+		e.scoreSpan(out, qn, lo, hi)
+	})
 }
 
 // TopK returns the k best documents for q in ranking order, screening
@@ -273,29 +249,19 @@ func (e *Engine) TopKSkip(q []float64, k int, skip Skip) []Item {
 	return items
 }
 
-// TopKSkipWithStats is TopKSkip plus the scan report.
+// TopKSkipWithStats is TopKSkip plus the scan report: TopKProbeSkip under
+// the attached index's own probe budget.
 func (e *Engine) TopKSkipWithStats(q []float64, k int, skip Skip) ([]Item, ScreenStats) {
-	if len(q) != e.docs.Cols {
-		panic(fmt.Sprintf("rank: query dim %d want %d", len(q), e.docs.Cols))
+	return e.TopKProbeSkip(q, k, e.nprobe(), skip)
+}
+
+// nprobe is the probe budget the attached index was built with (0 =
+// exact, also without an index).
+func (e *Engine) nprobe() int {
+	if e.ivf == nil {
+		return 0
 	}
-	n := e.docs.Rows
-	if live := n - skip.CountUpTo(n); k > live {
-		k = live
-	}
-	if k <= 0 {
-		return []Item{}, ScreenStats{}
-	}
-	qn := normalizeCopy(q)
-	if e.ivf != nil && e.screenable(k) {
-		return e.topKIVF(qn, k, e.ivf.nprobe, skip)
-	}
-	if e.screenable(k) {
-		if e.mir.q8 != nil {
-			return e.topKScreened8(qn, k, skip)
-		}
-		return e.topKScreened(qn, k, skip)
-	}
-	return e.topKExact(qn, k, skip), ScreenStats{}
+	return e.ivf.nprobe
 }
 
 // topKExact is the pure float64 path: scoring and selection fused per
@@ -304,24 +270,24 @@ func (e *Engine) TopKSkipWithStats(q []float64, k int, skip Skip) ([]Item, Scree
 // materialized.
 func (e *Engine) topKExact(qn []float64, k int, skip Skip) []Item {
 	n := e.docs.Rows
-	items, _ := runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
+	return runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) {
 		e.offerSpan(s, qn, lo, hi, skip)
-		return 0
 	})
-	return items
 }
 
 // batchBlock bounds how many queries are scored per gemm so the score
 // block stays a few MB even against very large collections.
 const batchBlock = 32
 
-// TopKBatch ranks every row of queries (q×dim) against the documents,
-// scoring each block of queries as one gemm. When the engine screens, the
-// gemm is the float32 Q32·M32ᵀ against the mirror and each query row then
-// runs the certified rescore; otherwise the float64 Q·D̂ᵀ feeds bounded
-// selection directly. Per-element summation order of every float64 score
-// matches the single-query dot products, so results are byte-identical to
-// calling TopK per query — screened or not.
+// TopKBatch ranks every row of queries (q×dim) against the documents.
+// A screening engine runs the single-query scan once per query, fanned
+// across workers: cell pruning is a per-query decision, and without an
+// index a shared first-tier gemm measures no faster than the scans (see
+// docs/ALGORITHMS.md, "Scan pipeline"). An exact engine scores each block
+// of queries as one float64 gemm Q·D̂ᵀ feeding bounded selection.
+// Per-element summation order of every float64 score matches the
+// single-query dot products, so results are byte-identical to calling
+// TopK per query — screened or not.
 func (e *Engine) TopKBatch(queries *dense.Matrix, k int) [][]Item {
 	out, _ := e.TopKBatchWithStats(queries, k)
 	return out
@@ -335,8 +301,8 @@ func (e *Engine) TopKBatchWithStats(queries *dense.Matrix, k int) ([][]Item, []S
 }
 
 // TopKBatchSkipWithStats is TopKBatchWithStats with the rows in skip
-// excluded from every query of the batch — per-row results are identical
-// to calling TopKSkip per query.
+// excluded from every query of the batch — per-row results and stats are
+// identical to calling TopKSkipWithStats per query.
 func (e *Engine) TopKBatchSkipWithStats(queries *dense.Matrix, k int, skip Skip) ([][]Item, []ScreenStats) {
 	if queries.Cols != e.docs.Cols {
 		panic(fmt.Sprintf("rank: batch query dim %d want %d", queries.Cols, e.docs.Cols))
@@ -348,13 +314,14 @@ func (e *Engine) TopKBatchSkipWithStats(queries *dense.Matrix, k int, skip Skip)
 	}
 	live := e.docs.Rows - skip.CountUpTo(e.docs.Rows)
 	if kk := minInt(k, live); kk > 0 && e.screenable(kk) {
-		if e.ivf != nil {
-			e.topKBatchIVF(out, stats, queries, kk, e.ivf.nprobe, skip)
-		} else if e.mir.q8 != nil {
-			e.topKBatchScreened8(out, stats, queries, kk, skip)
-		} else {
-			e.topKBatchScreened(out, stats, queries, kk, skip)
-		}
+		// Queries fan out instead of spans; a lone query keeps the span
+		// fan-out a single TopK would get.
+		spans := queries.Rows == 1
+		parallelRange(queries.Rows, true, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				out[i], stats[i] = e.scan(normalizeCopy(queries.Row(i)), kk, e.nprobe(), skip, spans)
+			}
+		})
 		return out, stats
 	}
 	scores := dense.New(minInt(batchBlock, queries.Rows), e.docs.Rows)
@@ -379,46 +346,6 @@ func (e *Engine) TopKBatchSkipWithStats(queries *dense.Matrix, k int, skip Skip)
 		}
 	}
 	return out, stats
-}
-
-// topKBatchScreened fills out with the two-stage batch path: one float32
-// gemm per query block against the mirror, then the per-row certified
-// rescore. The gemm still covers every row (skipped rows are pruned at
-// selection, not scoring — a gemm gather would cost more than it saves);
-// lbThreshold and rescorePass honor the skip set, so tombstoned rows can
-// neither seed the threshold nor surface. Callers guarantee
-// screenable(k) and 0 < k ≤ live rows.
-func (e *Engine) topKBatchScreened(out [][]Item, stats []ScreenStats, queries *dense.Matrix, k int, skip Skip) {
-	blockRows := minInt(batchBlock, queries.Rows)
-	scores := dense.NewF32(blockRows, e.docs.Rows)
-	q32s := dense.NewF32(blockRows, queries.Cols)
-	for b0 := 0; b0 < queries.Rows; b0 += batchBlock {
-		b1 := b0 + batchBlock
-		if b1 > queries.Rows {
-			b1 = queries.Rows
-		}
-		qn := queries.Slice(b0, b1, 0, queries.Cols)
-		block, q32blk := scores, q32s
-		if qn.Rows != scores.Rows {
-			// Final ragged block: row-prefix views of the existing buffers.
-			block = &dense.MatrixF32{Rows: qn.Rows, Cols: scores.Cols, Data: scores.Data[:qn.Rows*scores.Cols]}
-			q32blk = &dense.MatrixF32{Rows: qn.Rows, Cols: q32s.Cols, Data: q32s.Data[:qn.Rows*q32s.Cols]}
-		}
-		for r := 0; r < qn.Rows; r++ {
-			dense.Normalize(qn.Row(r))
-			dense.ConvertF32(q32blk.Row(r), qn.Row(r))
-		}
-		dense.MulBTF32Into(block, q32blk, e.mir.docs)
-		for r := 0; r < qn.Rows; r++ {
-			qnr := qn.Row(r)
-			slack := e.screenSlack(qnr, q32blk.Row(r))
-			low := e.lbThreshold(block.Row(r), slack, k, skip)
-			var cands int
-			out[b0+r], cands = e.rescorePass(block.Row(r), qnr, slack, k, low, skip)
-			stats[b0+r] = ScreenStats{Screened: true, Candidates: cands,
-				ScannedRows: e.docs.Rows}
-		}
-	}
 }
 
 func minInt(a, b int) int {

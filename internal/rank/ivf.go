@@ -3,9 +3,7 @@ package rank
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/dense"
 )
@@ -26,22 +24,13 @@ import (
 // ubSlack absorbing the float64 summation rounding of both dot products
 // (γ64 each, ‖qn‖, ‖v‖, ‖ĉ‖ ≤ 1 + ulps — see ivfUBSlack).
 //
-// Scanning then proceeds cell by cell in decreasing ub order, screening
-// member rows through the same float32 bracket machinery as screen.go
-// (lb_i = s32_i − ε_i − slack feeds a bounded selector). Once the
-// selector holds k certified lower bounds, any cell with ub_c < L (the
-// kth largest lb seen) can be skipped outright: every member's exact
-// score is ≤ ub_c < L ≤ (kth best exact score), so no member can enter
-// the top-k even on ties — and because cells are visited in decreasing
-// ub order, the first skip terminates the scan. Rows appended by Extend
-// after the index was built form the "unclustered tail", which is always
-// scanned, so a stale index only costs speed, never exactness. The
-// surviving candidates are rescored with the exact float64 kernels and
-// selected under the usual total order — byte-identical to
-// NewEngineExact at every point of the Extend chain (pinned by test).
-//
-// The opt-in approximate mode caps the scan at nprobe cells (after the
-// tail and after at least k rows have been seen), trading recall for
+// The scan (scan in screen.go) visits cells in decreasing ub order after
+// the always-scanned un-indexed rows and stops at the first cell whose ub
+// falls below the kth largest certified lower bound seen; rows appended
+// by Extend after the index was built are un-indexed, so a stale index
+// only costs speed, never exactness — byte-identical to NewEngineExact at
+// every point of the Extend chain (pinned by test). The opt-in
+// approximate mode caps the sweep at nprobe cells, trading recall for
 // latency; the certified threshold still applies within the scanned
 // subset, so approximate results are the exact top-k of the probed rows.
 
@@ -366,32 +355,7 @@ func seedMinDist(minD, trainNorm []float64, train *dense.MatrixF32, cent []float
 			}
 		}
 	}
-	s := len(minD)
-	nw := runtime.GOMAXPROCS(0)
-	if s*train.Cols < scoreParallelCutoff || nw < 2 {
-		update(0, s)
-		return
-	}
-	if nw > s {
-		nw = s
-	}
-	var wg sync.WaitGroup
-	chunk := (s + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > s {
-			hi = s
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			update(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelRange(len(minD), len(minD)*train.Cols >= scoreParallelCutoff, update)
 }
 
 // assignRowsF32 writes each row's nearest-centroid cell into out, one
@@ -465,35 +429,11 @@ func certifyClusters(docs *dense.Matrix, n int, members [][]int32) (*dense.Matri
 		}
 		radius[c] = r * boundSlack
 	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw < 2 || nc < 2 || n*docs.Cols < scoreParallelCutoff {
-		for c := 0; c < nc; c++ {
+	parallelRange(nc, n*docs.Cols >= scoreParallelCutoff, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
 			certify(c)
 		}
-		return cents, radius
-	}
-	if nw > nc {
-		nw = nc
-	}
-	var wg sync.WaitGroup
-	chunk := (nc + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > nc {
-			hi = nc
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for c := lo; c < hi; c++ {
-				certify(c)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return cents, radius
 }
 
@@ -507,34 +447,6 @@ func ivfUBSlack(dim int) float64 {
 	const u64 = 0x1p-53
 	g64 := n1 * u64 / (1 - n1*u64)
 	return 2 * g64 * (1 + 1e-12) * boundSlack
-}
-
-// ivfScratch recycles the per-query gathered-candidate buffers (row ids
-// and screened scores for every scanned row), sized to the largest
-// collection served, so steady-state cluster scans allocate nothing
-// proportional to n.
-type ivfScratch struct {
-	ids []int32
-	s32 []float32
-	// d8 holds the raw integer dot of each gathered row on the three-tier
-	// path (unused, zero-length reslice cost, when the engine has no int8
-	// tier).
-	d8 []int32
-}
-
-var ivfScratchPool = sync.Pool{New: func() any { return new(ivfScratch) }}
-
-func getIVFScratch(n int) *ivfScratch {
-	sc := ivfScratchPool.Get().(*ivfScratch)
-	if cap(sc.ids) < n {
-		sc.ids = make([]int32, n)
-		sc.s32 = make([]float32, n)
-		sc.d8 = make([]int32, n)
-	}
-	sc.ids = sc.ids[:n]
-	sc.s32 = sc.s32[:n]
-	sc.d8 = sc.d8[:n]
-	return sc
 }
 
 // ivfCellOrder ranks the index cells for a normalized query: certified
@@ -561,284 +473,19 @@ func (e *Engine) ivfCellOrder(qn []float64) ([]float64, []int) {
 	return ubs, order
 }
 
-// topKIVF is the cluster-pruned scan. Callers guarantee screenable(k),
-// k ≤ live rows, and e.ivf != nil; nprobe ≤ 0 scans until the certified
-// bound terminates the sweep (exact), nprobe > 0 additionally caps the
-// scan at nprobe cells once at least k rows have been seen. Skipped rows
-// are excluded at gather time, so they never enter the scratch arrays
-// and the later passes need no skip test; a cell's certified ub stays
-// valid for its surviving members (the radius only loosens when the
-// tombstoned row was the farthest member). With an int8 tier the gather
-// sweep reads the quantized rows and its selector carries coarse lower
-// bounds; the cell-skip test is unchanged, because any certified lower
-// bound ≤ the corresponding exact score makes ubs[c] < L a proof that no
-// member of c reaches the top-k.
-func (e *Engine) topKIVF(qn []float64, k, nprobe int, skip Skip) ([]Item, ScreenStats) {
-	if e.mir.q8 != nil {
-		return e.topKIVF8(qn, k, nprobe, skip)
-	}
-	q32 := make([]float32, len(qn))
-	dense.ConvertF32(q32, qn)
-	slack := e.screenSlack(qn, q32)
-	idx := e.ivf
-	ubs, order := e.ivfCellOrder(qn)
-	sc := getIVFScratch(e.docs.Rows)
-	sel := newSelector(k)
-	// The unclustered tail — rows appended after the index was built —
-	// is always scanned: it both seeds the threshold and keeps a stale
-	// index exact.
-	m := e.gatherRange(sel, sc.ids, sc.s32, q32, slack, idx.rows, e.docs.Rows, 0, skip)
-	scanned := 0
-	for _, c := range order {
-		if len(sel.h) >= k {
-			if ubs[c] < sel.h[0].Score {
-				break // certified: no remaining cell can reach the top-k
-			}
-			if nprobe > 0 && scanned >= nprobe {
-				break // approximate mode: probe budget spent
-			}
-		}
-		m = e.gatherMembers(sel, sc.ids, sc.s32, q32, slack, idx.members[c], m, skip)
-		scanned++
-	}
-	low := math.Inf(-1)
-	if len(sel.h) >= k {
-		low = sel.h[0].Score // kth largest certified lower bound
-	}
-	rsel := newSelector(k)
-	cands := e.rescoreGathered(rsel, sc.ids, sc.s32, qn, slack, low, m)
-	items := rsel.finish()
-	st := ScreenStats{Screened: true, Candidates: cands,
-		ClustersTotal: len(idx.members), ClustersScanned: scanned, ScannedRows: m}
-	ivfScratchPool.Put(sc)
-	return items, st
-}
-
-// topKIVF8 is topKIVF with the int8 coarse tier in front: the gather
-// sweep reads quantized rows at a byte per coordinate and seeds the
-// selector with coarse lower bounds; after the sweep, gathered rows
-// whose coarse upper bound clears the threshold promote (in place) to
-// the float32 bracket, and the standard gathered rescore finishes in
-// float64 — byte-identical to the f32 path by the same stacked-threshold
-// argument as promoteRescore8 in screen8.go.
-func (e *Engine) topKIVF8(qn []float64, k, nprobe int, skip Skip) ([]Item, ScreenStats) {
-	q := e.quantizeQuery(qn)
-	idx := e.ivf
-	ubs, order := e.ivfCellOrder(qn)
-	sc := getIVFScratch(e.docs.Rows)
-	sel := newSelector(k)
-	m := e.gatherRange8(sel, sc.ids, sc.d8, q, idx.rows, e.docs.Rows, 0, skip)
-	scanned := 0
-	for _, c := range order {
-		if len(sel.h) >= k {
-			if ubs[c] < sel.h[0].Score {
-				break // certified against the coarse lower bounds too
-			}
-			if nprobe > 0 && scanned >= nprobe {
-				break
-			}
-		}
-		m = e.gatherMembers8(sel, sc.ids, sc.d8, q, idx.members[c], m, skip)
-		scanned++
-	}
-	low8 := math.Inf(-1)
-	if len(sel.h) >= k {
-		low8 = sel.h[0].Score
-	}
-	psel := newSelector(k)
-	p := e.promoteGathered8(psel, sc.ids, sc.d8, sc.s32, q, low8, m)
-	low32 := math.Inf(-1)
-	if len(psel.h) >= k {
-		low32 = psel.h[0].Score
-	}
-	rsel := newSelector(k)
-	cands := e.rescoreGathered(rsel, sc.ids, sc.s32, qn, q.slack32, low32, p)
-	items := rsel.finish()
-	st := ScreenStats{Screened: true, Candidates: cands, Promoted: p,
-		ClustersTotal: len(idx.members), ClustersScanned: scanned, ScannedRows: m}
-	ivfScratchPool.Put(sc)
-	return items, st
-}
-
-// gatherRange screens rows [lo, hi) of the mirror, recording each row id
-// and float32 score into the scratch arrays at position m onward and
-// feeding certified lower bounds through the selector; it returns the
-// new fill count. The serial stage-1 kernel of the tail scan.
-//
-//lsilint:noalloc
-func (e *Engine) gatherRange(s *selector, ids []int32, s32 []float32, q32 []float32, slack float64, lo, hi, m int, skip Skip) int {
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			sc := dense.DotF32(q32, e.mir.docs.Row(i))
-			ids[m] = int32(i)
-			s32[m] = sc
-			m++
-			s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-		}
-		return m
-	}
-	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
-		}
-		sc := dense.DotF32(q32, e.mir.docs.Row(i))
-		ids[m] = int32(i)
-		s32[m] = sc
-		m++
-		s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-	}
-	return m
-}
-
-// gatherMembers is gatherRange over a cell's member list — the
-// cluster-scan kernel: an int32-gathered float32 sweep of the mirror.
-//
-//lsilint:noalloc
-func (e *Engine) gatherMembers(s *selector, ids []int32, s32 []float32, q32 []float32, slack float64, mem []int32, m int, skip Skip) int {
-	if skip == nil {
-		for _, id := range mem {
-			i := int(id)
-			sc := dense.DotF32(q32, e.mir.docs.Row(i))
-			ids[m] = id
-			s32[m] = sc
-			m++
-			s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-		}
-		return m
-	}
-	for _, id := range mem {
-		i := int(id)
-		if skip.Has(i) {
-			continue
-		}
-		sc := dense.DotF32(q32, e.mir.docs.Row(i))
-		ids[m] = id
-		s32[m] = sc
-		m++
-		s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-	}
-	return m
-}
-
-// gatherRange8 is gatherRange against the int8 tier: rows [lo, hi) get
-// an exact integer dot, the raw dot lands in the d8 scratch, and the
-// certified coarse lower bound feeds the selector.
-//
-//lsilint:noalloc
-func (e *Engine) gatherRange8(s *selector, ids []int32, d8 []int32, q *q8query, lo, hi, m int, skip Skip) int {
-	mir := e.mir
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			d := dense.DotI8(q.qq8, mir.q8.Row(i))
-			ids[m] = int32(i)
-			d8[m] = d
-			m++
-			c := mir.scale[i] * q.sq * float64(d)
-			s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
-		}
-		return m
-	}
-	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
-		}
-		d := dense.DotI8(q.qq8, mir.q8.Row(i))
-		ids[m] = int32(i)
-		d8[m] = d
-		m++
-		c := mir.scale[i] * q.sq * float64(d)
-		s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
-	}
-	return m
-}
-
-// gatherMembers8 is gatherRange8 over a cell's member list — the
-// three-tier cluster-scan kernel.
-//
-//lsilint:noalloc
-func (e *Engine) gatherMembers8(s *selector, ids []int32, d8 []int32, q *q8query, mem []int32, m int, skip Skip) int {
-	mir := e.mir
-	if skip == nil {
-		for _, id := range mem {
-			i := int(id)
-			d := dense.DotI8(q.qq8, mir.q8.Row(i))
-			ids[m] = id
-			d8[m] = d
-			m++
-			c := mir.scale[i] * q.sq * float64(d)
-			s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
-		}
-		return m
-	}
-	for _, id := range mem {
-		i := int(id)
-		if skip.Has(i) {
-			continue
-		}
-		d := dense.DotI8(q.qq8, mir.q8.Row(i))
-		ids[m] = id
-		d8[m] = d
-		m++
-		c := mir.scale[i] * q.sq * float64(d)
-		s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
-	}
-	return m
-}
-
-// promoteGathered8 compacts the m gathered rows in place, keeping (at
-// position p ≤ j) exactly those whose coarse upper bound clears low8,
-// scoring the keepers through the float32 mirror and feeding their
-// certified float32 lower bounds through the selector. Returns the
-// promoted count; afterward ids[:p]/s32[:p] are exactly what
-// rescoreGathered expects.
-//
-//lsilint:noalloc
-func (e *Engine) promoteGathered8(s *selector, ids []int32, d8 []int32, s32 []float32, q *q8query, low8 float64, m int) int {
-	mir := e.mir
-	p := 0
-	for j := 0; j < m; j++ {
-		i := int(ids[j])
-		c := mir.scale[i] * q.sq * float64(d8[j])
-		if c+mir.eps8[i]*q.epsMul+q.slack8 < low8 {
-			continue
-		}
-		sc := dense.DotF32(q.q32, mir.docs.Row(i))
-		ids[p] = ids[j]
-		s32[p] = sc
-		p++
-		s.offer(Item{Doc: i, Score: float64(sc) - mir.eps[i] - q.slack32})
-	}
-	return p
-}
-
-// rescoreGathered rescans the m gathered candidates, rescoring in
-// float64 every row whose certified upper bound clears the threshold —
-// the same bracket test as rescoreSpan, over the gathered subset.
-//
-//lsilint:noalloc
-func (e *Engine) rescoreGathered(s *selector, ids []int32, s32 []float32, qn []float64, slack, low float64, m int) int {
-	cands := 0
-	for j := 0; j < m; j++ {
-		i := int(ids[j])
-		if float64(s32[j])+e.mir.eps[i]+slack >= low {
-			s.offer(Item{Doc: i, Score: dense.Dot(qn, e.docs.Row(i))})
-			cands++
-		}
-	}
-	return cands
-}
-
 // TopKProbe is TopK with an explicit cluster-probe budget: at most
 // nprobe IVF cells are scanned (0 = unlimited = exact), letting one
 // engine serve both exact and approximate traffic. Without an index (or
-// below the screening cutoff) it degrades to the exact path regardless
-// of nprobe. The returned stats report what the scan did.
+// below the screening cutoff) there are no cells to cap, so results are
+// exact regardless of nprobe. The returned stats report what the scan
+// did.
 func (e *Engine) TopKProbe(q []float64, k, nprobe int) ([]Item, ScreenStats) {
 	return e.TopKProbeSkip(q, k, nprobe, nil)
 }
 
 // TopKProbeSkip is TopKProbe with the rows in skip excluded — the
-// tombstone-aware form of the explicit-probe entry point.
+// tombstone-aware form of the explicit-probe entry point, and the one
+// dispatch every single-query entry point lands on.
 func (e *Engine) TopKProbeSkip(q []float64, k, nprobe int, skip Skip) ([]Item, ScreenStats) {
 	if len(q) != e.docs.Cols {
 		panic(fmt.Sprintf("rank: query dim %d want %d", len(q), e.docs.Cols))
@@ -851,53 +498,8 @@ func (e *Engine) TopKProbeSkip(q []float64, k, nprobe int, skip Skip) ([]Item, S
 		return []Item{}, ScreenStats{}
 	}
 	qn := normalizeCopy(q)
-	if e.ivf != nil && e.screenable(k) {
-		return e.topKIVF(qn, k, nprobe, skip)
-	}
 	if e.screenable(k) {
-		if e.mir.q8 != nil {
-			return e.topKScreened8(qn, k, skip)
-		}
-		return e.topKScreened(qn, k, skip)
+		return e.scan(qn, k, nprobe, skip, true)
 	}
 	return e.topKExact(qn, k, skip), ScreenStats{}
-}
-
-// topKBatchIVF serves a query batch through the cluster-pruned path:
-// pruning is inherently per-query, so instead of one gemm over all rows
-// the batch fans queries across workers, each running the same scan a
-// single TopK would — results stay byte-identical to per-query calls.
-func (e *Engine) topKBatchIVF(out [][]Item, stats []ScreenStats, queries *dense.Matrix, k, nprobe int, skip Skip) {
-	nq := queries.Rows
-	run := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			qn := normalizeCopy(queries.Row(i))
-			out[i], stats[i] = e.topKIVF(qn, k, nprobe, skip)
-		}
-	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > nq {
-		nw = nq
-	}
-	if nw < 2 {
-		run(0, nq)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (nq + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > nq {
-			hi = nq
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			run(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

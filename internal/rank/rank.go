@@ -14,12 +14,15 @@
 //     documents, not all n sorted; per-worker min-heaps merged at the
 //     barrier select them in O(n log z) instead of the O(n log n) full
 //     sort, with the same deterministic order (score desc, doc asc).
-//  3. Batched scoring (Engine.TopKBatch): a block of queries against the
-//     normalized matrix is one gemm Q·Dᵀ, which the tiled parallel
-//     dense.MulBT turns into cache-blocked row sweeps.
+//  3. Batched scoring (Engine.TopKBatch): on an exact engine a block of
+//     queries against the normalized matrix is one gemm Q·Dᵀ, which the
+//     tiled parallel dense.MulBT turns into cache-blocked row sweeps; a
+//     screening engine fans its per-query scan (screen.go) across the
+//     block instead.
 package rank
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -71,55 +74,56 @@ func TopKSkip(scores []float64, ids []int, k int, skip Skip) []Item {
 	if k <= 0 {
 		return []Item{}
 	}
-	items, _ := runSpans(n, k, n >= selectParallelCutoff, func(s *selector, lo, hi int) int {
+	return runSpans(n, k, n >= selectParallelCutoff, func(s *selector, lo, hi int) {
 		offerScores(s, scores, ids, skip, lo, hi)
-		return 0
 	})
-	return items
 }
 
-// runSpans is the package's one selector fan-out: it shards rows [0, n)
-// across GOMAXPROCS workers when parallel says the scan is big enough —
-// one bounded selector each, merged under the usual total order — and
-// returns the merged top-k plus the summed kernel counts. The kernel
-// must be deterministic per row; the merge then makes the result
-// independent of the worker count.
-func runSpans(n, k int, parallel bool, kernel func(s *selector, lo, hi int) int) ([]Item, int) {
+// parallelRange is the package's one goroutine fan-out: it calls fn over
+// contiguous chunks covering [0, n) — one per GOMAXPROCS worker when
+// parallel says the work is big enough to pay for the goroutines, else
+// fn(0, n) on the caller's goroutine — and returns when every call has.
+// fn must write only state owned by its own chunk; per-row results are
+// then independent of the worker count.
+func parallelRange(n int, parallel bool, fn func(lo, hi int)) {
 	nw := runtime.GOMAXPROCS(0)
 	if !parallel || nw < 2 || n < 2 {
-		s := newSelector(k)
-		c := kernel(s, 0, n)
-		return s.finish(), c
+		fn(0, n)
+		return
 	}
 	if nw > n {
 		nw = n
 	}
-	sels := make([]*selector, nw)
-	counts := make([]int, nw)
 	var wg sync.WaitGroup
 	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			s := newSelector(k)
-			counts[w] = kernel(s, lo, hi)
-			sels[w] = s
-		}(w, lo, hi)
+			fn(lo, hi)
+		}(lo, minInt(lo+chunk, n))
 	}
 	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
+}
+
+// runSpans is the package's one selector fan-out: parallelRange over
+// rows [0, n) with one bounded selector per span, merged under the usual
+// total order into the top-k. The kernel must be deterministic per row;
+// the merge then makes the result independent of the worker count.
+func runSpans(n, k int, parallel bool, kernel func(s *selector, lo, hi int)) []Item {
+	var mu sync.Mutex
+	var sels []*selector
+	parallelRange(n, parallel, func(lo, hi int) {
+		s := newSelector(k)
+		kernel(s, lo, hi)
+		mu.Lock()
+		sels = append(sels, s)
+		mu.Unlock()
+	})
+	if len(sels) == 1 {
+		return sels[0].finish()
 	}
-	return mergeSelectors(sels, k), total
+	return mergeSelectors(sels, k)
 }
 
 // offerScores feeds scores[lo:hi] through the selector, honoring the skip
@@ -184,9 +188,7 @@ func MergeTopK(k int, lists ...[]Item) []Item {
 func mergeSelectors(sels []*selector, k int) []Item {
 	lists := make([][]Item, 0, len(sels))
 	for _, s := range sels {
-		if s != nil {
-			lists = append(lists, s.h)
-		}
+		lists = append(lists, s.h)
 	}
 	return MergeTopK(k, lists...)
 }
@@ -253,6 +255,15 @@ func (s *selector) down(i int) {
 		s.h[i], s.h[worst] = s.h[worst], s.h[i]
 		i = worst
 	}
+}
+
+// threshold returns the kth-best score offered so far — what a new item
+// must beat to enter — or −∞ while fewer than k items have been seen.
+func (s *selector) threshold() float64 {
+	if len(s.h) < s.k {
+		return math.Inf(-1)
+	}
+	return s.h[0].Score
 }
 
 // finish returns the kept items in ranking order.

@@ -7,14 +7,17 @@ import (
 	"repro/internal/dense"
 )
 
-// Two-stage exact top-k: a float32 screening mirror of the normalized
-// document cache is scanned first (half the memory traffic, unrolled
-// float32 dot products), and only rows whose screened score could — under
-// a provable rounding bound — still reach the running kth-best are
-// rescored with the float64 kernels. The final result is byte-identical
-// to the pure float64 path (pinned by test): the rescore uses exactly the
+// Screened exact top-k: a cheap first tier of the normalized document
+// cache is scanned first — the float32 mirror (half the memory traffic,
+// unrolled float32 dot products) or, in front of it, the int8 tier of
+// screen8.go — and only rows whose screened score could — under a
+// provable rounding bound — still reach the running kth-best are rescored
+// with the float64 kernels. The final result is byte-identical to the
+// pure float64 path (pinned by test): the rescore uses exactly the
 // dense.Dot the exact path uses, and the candidate set provably contains
-// every true top-k row.
+// every true top-k row. Every screened query — with or without a cluster
+// index, int8 or float32 first tier, single or batched — runs the one
+// pipeline in scan below.
 //
 // The bound, per document row v (float64, unit-normalized) with float32
 // mirror v32, query qn (float64, unit-normalized) with mirror q32:
@@ -159,17 +162,17 @@ func (m *mirror) extendShared(docs *dense.Matrix, oldRows int) *mirror {
 	return next
 }
 
-// ScreenStats describes what the two-stage path did for one query.
+// ScreenStats describes what scan did for one query.
 type ScreenStats struct {
-	// Screened reports whether the float32 screening pass ran at all; a
-	// false value means the exact float64 path served the query directly.
+	// Screened reports whether the screened scan ran at all; a false
+	// value means the exact float64 path served the query directly.
 	Screened bool
 	// Candidates is how many rows survived screening and were rescored in
-	// float64 (k ≤ Candidates ≤ NumDocs when Screened).
+	// float64 (k ≤ Candidates ≤ ScannedRows when Screened).
 	Candidates int
 	// Promoted is how many rows the int8 coarse pass promoted to the
-	// float32 bracket (Candidates ≤ Promoted when the int8 tier ran;
-	// 0 on the two-tier and exact paths).
+	// float32 bracket (Candidates ≤ Promoted ≤ ScannedRows on an int8
+	// engine; 0 on float32-first and exact ones).
 	Promoted int
 	// ClustersTotal is how many IVF cells the engine's index holds; zero
 	// when the query ran without a cluster index.
@@ -177,9 +180,9 @@ type ScreenStats struct {
 	// ClustersScanned is how many of those cells the scan actually
 	// visited before the certified bound (or the nprobe cap) stopped it.
 	ClustersScanned int
-	// ScannedRows is how many mirror rows stage 1 touched: all of them on
-	// the flat screening path, cluster members plus the unclustered tail
-	// on the IVF path.
+	// ScannedRows is how many live rows stage 1 gathered: all of them
+	// without an index, the visited cells' members plus the un-indexed
+	// range with one.
 	ScannedRows int
 }
 
@@ -206,147 +209,176 @@ func (e *Engine) screenSlack(qn []float64, q32 []float32) float64 {
 	return ((rq+g32*n32q)*nv32 + g64*(1+1e-12)) * boundSlack
 }
 
-// screenBuf recycles per-query float32 score buffers: one slot per
-// concurrent query, each sized to the largest collection it has served,
-// so steady-state screening allocates nothing proportional to n.
-var screenBuf = sync.Pool{New: func() any { return new([]float32) }}
+// scanScratch recycles the per-query gathered-candidate buffers (row id
+// and first-tier score of every scanned row), sized to the largest
+// collection served, so steady-state scans allocate nothing proportional
+// to n.
+type scanScratch struct {
+	ids []int32
+	// s32 holds float32 screened scores: of every gathered row when the
+	// float32 mirror is the first tier, of the promoted rows otherwise.
+	s32 []float32
+	// d8 holds the raw integer dot of each gathered row when the int8 tier
+	// is the first tier.
+	d8 []int32
+}
 
-func getScreenBuf(n int) *[]float32 {
-	p := screenBuf.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+func getScanScratch(n int) *scanScratch {
+	sc := scanScratchPool.Get().(*scanScratch)
+	if cap(sc.ids) < n {
+		sc.ids = make([]int32, n)
+		sc.s32 = make([]float32, n)
+		sc.d8 = make([]int32, n)
 	}
-	*p = (*p)[:n]
-	return p
+	sc.ids = sc.ids[:n]
+	sc.s32 = sc.s32[:n]
+	sc.d8 = sc.d8[:n]
+	return sc
 }
 
-// topKScreened runs the two-stage scan for a normalized query. Callers
-// guarantee screenable(k) and k ≤ live rows. Skipped rows are never
-// scored: stage 1 leaves their buf entry untouched (possibly stale pool
-// data), which is safe because every later read of buf is guarded by the
-// same skip test.
-func (e *Engine) topKScreened(qn []float64, k int, skip Skip) ([]Item, ScreenStats) {
-	q32 := make([]float32, len(qn))
-	dense.ConvertF32(q32, qn)
-	slack := e.screenSlack(qn, q32)
-	bufp := getScreenBuf(e.docs.Rows)
-	buf := *bufp
-	low := e.screenPass(buf, q32, slack, k, skip)
-	items, cands := e.rescorePass(buf, qn, slack, k, low, skip)
-	screenBuf.Put(bufp)
-	scanned := e.docs.Rows - skip.CountUpTo(e.docs.Rows)
-	return items, ScreenStats{Screened: true, Candidates: cands, ScannedRows: scanned}
-}
-
-// screenPass fills buf with the float32 screened score of every live row
-// and returns the kth largest certified lower bound — the screening
-// threshold L. The scan shards exactly like the float64 scoring scan.
-func (e *Engine) screenPass(buf []float32, q32 []float32, slack float64, k int, skip Skip) float64 {
-	n := e.docs.Rows
-	// Every live row is offered and k ≤ live (callers clamp), so the
-	// merge holds at least k items.
-	lbs, _ := runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
-		e.screenSpan(s, buf, q32, slack, lo, hi, skip)
-		return 0
-	})
-	return lbs[k-1].Score
-}
-
-// screenSpan is the stage-1 kernel: float32 dot against mirror rows
-// [lo, hi), recording the raw screened score and feeding the certified
-// lower bound through the selector. Skipped rows are not scored and
-// their buf entry is left untouched.
+// scan is the screened top-k pipeline for a normalized query — the one
+// scan behind every screened entry point (docs/ALGORITHMS.md, "Scan
+// pipeline"). Callers guarantee screenable(k) and k ≤ live rows.
 //
-//lsilint:noalloc
-func (e *Engine) screenSpan(s *selector, buf []float32, q32 []float32, slack float64, lo, hi int, skip Skip) {
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			sc := dense.DotF32(q32, e.mir.docs.Row(i))
-			buf[i] = sc
-			s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
-		}
-		sc := dense.DotF32(q32, e.mir.docs.Row(i))
-		buf[i] = sc
-		s.offer(Item{Doc: i, Score: float64(sc) - e.mir.eps[i] - slack})
-	}
-}
-
-// rescorePass rescans the screened scores, rescoring in float64 every
-// row whose upper bound clears the threshold, and returns the exact
-// top-k plus the candidate count. The rescore uses the same dense.Dot
-// the exact path uses, so surviving scores are bit-identical to it.
-func (e *Engine) rescorePass(buf []float32, qn []float64, slack float64, k int, low float64, skip Skip) ([]Item, int) {
-	n := e.docs.Rows
-	return runSpans(n, k, n*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) int {
-		return e.rescoreSpan(s, buf, qn, slack, low, lo, hi, skip)
-	})
-}
-
-// rescoreSpan is the stage-2 kernel over rows [lo, hi): cheap float32
-// upper-bound test, exact float64 rescore only for survivors. The skip
-// test guards the buf read too — a skipped row's entry may be stale.
+// Stage 1 gathers (row id, raw first-tier score) of every scanned live
+// row into the scratch arrays and feeds its certified lower bound to a
+// bounded selector. The un-indexed range [ivf.rows, n) comes first — all
+// of [0, n) without an index: a flat scan is the clustered scan with no
+// cells. It is always scanned (it seeds the threshold and keeps a stale
+// index exact) and, when fanOut and big enough, split across spans: a
+// row's slot is its live rank within the range, so spans write disjoint
+// segments and the layout does not depend on the worker count. Index
+// cells follow in decreasing-ub order, serially, because each visit
+// depends on the threshold the previous ones left: once the selector
+// holds k lower bounds, a cell with ub_c < L (the kth largest) cannot
+// contribute — every member's exact score is ≤ ub_c < L ≤ the kth best
+// exact score, whichever tier's lower bounds L came from — and the
+// ordering makes the first such cell end the sweep. nprobe > 0 also ends
+// it after nprobe cells once k rows have been seen (approximate mode: the
+// exact top-k of the probed rows).
 //
-//lsilint:noalloc
-func (e *Engine) rescoreSpan(s *selector, buf []float32, qn []float64, slack float64, low float64, lo, hi int, skip Skip) int {
-	cands := 0
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			if float64(buf[i])+e.mir.eps[i]+slack >= low {
-				s.offer(Item{Doc: i, Score: dense.Dot(qn, e.docs.Row(i))})
-				cands++
+// skip is applied in stage 1 only: a skipped row is never gathered, so it
+// can neither seed a threshold nor reach a later stage, which read
+// gathered ids. A cell's ub stays valid for its surviving members (the
+// radius only loosens when the tombstoned row was the farthest one).
+//
+// Stage 2 (int8 engines) compacts the gathered rows in place to those
+// whose coarse upper bound clears L, scores them against the float32
+// mirror and takes the next threshold from that promoted set
+// (screen8.go); stage 3 rescores the survivors in float64 and selects
+// under the usual total order.
+func (e *Engine) scan(qn []float64, k, nprobe int, skip Skip, fanOut bool) ([]Item, ScreenStats) {
+	q := e.quantizeQuery(qn)
+	st := ScreenStats{Screened: true}
+	n, base := e.docs.Rows, 0
+	var ubs []float64
+	var order []int
+	if e.ivf != nil {
+		base = e.ivf.rows
+		ubs, order = e.ivfCellOrder(qn)
+		st.ClustersTotal = len(order)
+	}
+	sc := getScanScratch(n)
+	liveBelow := base - skip.CountUpTo(base)
+	lbs := runSpans(n-base, k, fanOut && (n-base)*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) {
+		lo, hi = base+lo, base+hi
+		e.gather(s, sc, q, lo, hi, nil, lo-skip.CountUpTo(lo)-liveBelow, skip)
+	})
+	m := n - skip.CountUpTo(n) - liveBelow
+	sel := newSelector(k)
+	for _, lb := range lbs {
+		sel.offer(lb)
+	}
+	for _, c := range order {
+		if len(sel.h) >= k {
+			if ubs[c] < sel.h[0].Score {
+				break // certified: no remaining cell can reach the top-k
+			}
+			if nprobe > 0 && st.ClustersScanned >= nprobe {
+				break // approximate mode: probe budget spent
 			}
 		}
-		return cands
+		m = e.gather(sel, sc, q, 0, 0, e.ivf.members[c], m, skip)
+		st.ClustersScanned++
 	}
+	st.ScannedRows = m
+	low := sel.threshold()
+	if q.qq8 != nil {
+		psel := newSelector(k)
+		m = e.promoteGathered8(psel, sc.ids, sc.d8, sc.s32, q, low, m)
+		st.Promoted = m
+		low = psel.threshold()
+	}
+	rsel := newSelector(k)
+	st.Candidates = e.rescoreGathered(rsel, sc.ids, sc.s32, qn, q.slack32, low, m)
+	scanScratchPool.Put(sc)
+	return rsel.finish(), st
+}
+
+// gather runs the stage-1 kernel of the engine's first tier over rows
+// [lo, hi) and then the member list mem — callers pass a range or a list,
+// leaving the other empty — writing from scratch slot m on; it returns
+// the new fill count.
+//
+//lsilint:noalloc
+func (e *Engine) gather(s *selector, sc *scanScratch, q *q8query, lo, hi int, mem []int32, m int, skip Skip) int {
+	if q.qq8 != nil {
+		return e.gather8(s, sc.ids, sc.d8, q, lo, hi, mem, m, skip)
+	}
+	return e.gather32(s, sc.ids, sc.s32, q, lo, hi, mem, m, skip)
+}
+
+// gather32 is the float32 stage-1 kernel: a float32 dot against each live
+// mirror row of [lo, hi) and of mem, the row id and raw score recorded at
+// slot m onward and the certified lower bound s32 − ε − slack fed through
+// the selector. The two loops differ only in where the row id comes from;
+// selecting it per row inside one loop measured ~6 % slower on the range.
+//
+//lsilint:noalloc
+func (e *Engine) gather32(s *selector, ids []int32, s32 []float32, q *q8query, lo, hi int, mem []int32, m int, skip Skip) int {
+	mir := e.mir
 	for i := lo; i < hi; i++ {
 		if skip.Has(i) {
 			continue
 		}
-		if float64(buf[i])+e.mir.eps[i]+slack >= low {
+		v := dense.DotF32(q.q32, mir.docs.Row(i))
+		ids[m] = int32(i)
+		s32[m] = v
+		m++
+		s.offer(Item{Doc: i, Score: float64(v) - mir.eps[i] - q.slack32})
+	}
+	for _, id := range mem {
+		i := int(id)
+		if skip.Has(i) {
+			continue
+		}
+		v := dense.DotF32(q.q32, mir.docs.Row(i))
+		ids[m] = id
+		s32[m] = v
+		m++
+		s.offer(Item{Doc: i, Score: float64(v) - mir.eps[i] - q.slack32})
+	}
+	return m
+}
+
+// rescoreGathered is the last stage: over the m gathered (or promoted)
+// rows, rescore in float64 every row whose certified float32 upper bound
+// clears the threshold — with the same dense.Dot the exact path uses, so
+// surviving scores are bit-identical to it. Returns how many it rescored.
+//
+//lsilint:noalloc
+func (e *Engine) rescoreGathered(s *selector, ids []int32, s32 []float32, qn []float64, slack, low float64, m int) int {
+	cands := 0
+	for j := 0; j < m; j++ {
+		i := int(ids[j])
+		if float64(s32[j])+e.mir.eps[i]+slack >= low {
 			s.offer(Item{Doc: i, Score: dense.Dot(qn, e.docs.Row(i))})
 			cands++
 		}
 	}
 	return cands
-}
-
-// lbThreshold computes the screening threshold for a score row that was
-// already screened by a batched gemm (stage 1 of TopKBatch): the kth
-// largest certified lower bound over the live entries of buf. Callers
-// clamp k ≤ live, so at least k bounds are offered.
-func (e *Engine) lbThreshold(buf []float32, slack float64, k int, skip Skip) float64 {
-	n := len(buf)
-	lbs, _ := runSpans(n, k, n >= selectParallelCutoff, func(s *selector, lo, hi int) int {
-		e.lbSpan(s, buf, slack, lo, hi, skip)
-		return 0
-	})
-	return lbs[k-1].Score
-}
-
-// lbSpan offers the certified lower bound of already-screened live rows
-// [lo, hi) through the selector — a skipped row must not seed the
-// threshold (its gemm score is real here, but it is not a candidate).
-//
-//lsilint:noalloc
-func (e *Engine) lbSpan(s *selector, buf []float32, slack float64, lo, hi int, skip Skip) {
-	if skip == nil {
-		for i := lo; i < hi; i++ {
-			s.offer(Item{Doc: i, Score: float64(buf[i]) - e.mir.eps[i] - slack})
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
-		}
-		s.offer(Item{Doc: i, Score: float64(buf[i]) - e.mir.eps[i] - slack})
-	}
 }
 
 // checkMirror panics if the mirror has drifted from the float64 cache —

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,35 +11,77 @@ import (
 const (
 	benchDocs = 50000
 	benchDim  = 100
+	// benchBatch is the batch size of the table's batch column — what the
+	// repository benchmark's blended-batch workload posts per request.
+	benchBatch = 16
 )
 
-func benchEngines(b *testing.B) (*Engine, *Engine, []float64) {
+// benchCase is one collection of the table: isotropic rows (cell bounds
+// cannot prune, so an index costs its bookkeeping and buys nothing — the
+// worst case for the scan) and benchBatch queries.
+type benchCase struct {
+	docs    *dense.Matrix
+	queries *dense.Matrix
+	engines map[string]*Engine
+}
+
+var benchCases = map[string]*benchCase{}
+
+// benchCollection builds (once per process; -count re-enters the
+// benchmark function) the collection and every engine of the table
+// through public constructors only. Exact engines have no "ivf" row:
+// BuildIVF returns an exact-only engine unchanged.
+func benchCollection(b *testing.B, rows, dim int) *benchCase {
 	b.Helper()
+	name := fmt.Sprintf("%dx%d", rows, dim)
+	if c := benchCases[name]; c != nil {
+		return c
+	}
 	rng := rand.New(rand.NewSource(41))
-	m := randomMatrix(rng, benchDocs, benchDim)
-	q := make([]float64, benchDim)
-	for i := range q {
-		q[i] = rng.NormFloat64()
+	c := &benchCase{docs: randomMatrix(rng, rows, dim), queries: randomMatrix(rng, benchBatch, dim)}
+	f32, i8 := NewEngineF32(c.docs), NewEngine(c.docs)
+	c.engines = map[string]*Engine{
+		"exact/flat": NewEngineExact(c.docs),
+		"f32/flat":   f32,
+		"f32/ivf":    f32.BuildIVF(IVFConfig{}),
+		"int8/flat":  i8,
+		"int8/ivf":   i8.BuildIVF(IVFConfig{}),
 	}
-	return NewEngineExact(m), NewEngine(m), q
+	benchCases[name] = c
+	return c
 }
 
-func BenchmarkTopKExact(b *testing.B) {
-	exact, _, q := benchEngines(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(exact.TopK(q, 10)) != 10 {
-			b.Fatal()
-		}
-	}
-}
-
-func BenchmarkTopKScreened(b *testing.B) {
-	_, screened, q := benchEngines(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(screened.TopK(q, 10)) != 10 {
-			b.Fatal()
+// BenchmarkTopKTable is the first-tier × index × entry-point table
+// `make bench-rank` runs at GOMAXPROCS 1 and 2: {exact, float32-first,
+// int8-first} × {flat, ivf} × {single, batch of 16} at the repository
+// benchmark's shape (12 000×64) and at 50 000×100. Single cases cycle
+// through the batch's queries, so ns/op there and ns/query on the batch
+// cases measure the same work.
+func BenchmarkTopKTable(b *testing.B) {
+	for _, size := range []struct{ rows, dim int }{{12000, 64}, {benchDocs, benchDim}} {
+		for _, eng := range []string{"exact/flat", "f32/flat", "f32/ivf", "int8/flat", "int8/ivf"} {
+			prefix := fmt.Sprintf("%dx%d/%s", size.rows, size.dim, eng)
+			b.Run(prefix+"/single", func(b *testing.B) {
+				c := benchCollection(b, size.rows, size.dim)
+				e := c.engines[eng]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if len(e.TopK(c.queries.Row(i%benchBatch), 10)) != 10 {
+						b.Fatal()
+					}
+				}
+			})
+			b.Run(prefix+"/batch", func(b *testing.B) {
+				c := benchCollection(b, size.rows, size.dim)
+				e := c.engines[eng]
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if len(e.TopKBatch(c.queries, 10)) != benchBatch {
+						b.Fatal()
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/query")
+			})
 		}
 	}
 }
@@ -47,7 +90,8 @@ var benchSink64 float64
 var benchSink32 float32
 
 func BenchmarkScanDot64(b *testing.B) {
-	exact, _, q := benchEngines(b)
+	c := benchCollection(b, benchDocs, benchDim)
+	exact, q := c.engines["exact/flat"], c.queries.Row(0)
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		var s float64
@@ -59,9 +103,10 @@ func BenchmarkScanDot64(b *testing.B) {
 }
 
 func BenchmarkScanDotF32(b *testing.B) {
-	_, screened, q := benchEngines(b)
+	c := benchCollection(b, benchDocs, benchDim)
+	screened := c.engines["int8/flat"]
 	q32 := make([]float32, benchDim)
-	dense.ConvertF32(q32, q)
+	dense.ConvertF32(q32, c.queries.Row(0))
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		var s float32

@@ -3,7 +3,7 @@
 // over algorithms and article descriptions. Endpoints:
 //
 //	GET  /search?q=words&n=10     ranked documents for a free-text query
-//	POST /search/batch            rank a block of queries in one gemm pass
+//	POST /search/batch            rank a block of queries in one engine call
 //	GET  /terms?w=word&n=10       nearest indexed terms (online thesaurus)
 //	POST /documents               fold a new document into the database
 //	DELETE /docs/{id}             delete a document (tombstone, then fold-out)
@@ -277,8 +277,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		n = 10
 	}
 	// Vectorize every query; the non-empty ones scatter to every shard as
-	// one block — each shard runs its own gemm-tiled TopKBatch over the
-	// whole batch — and merge per query row.
+	// one block — each shard runs its own TopKBatch over the whole batch
+	// (exact engines gemm, screened engines scan per query) — and merge
+	// per query row.
 	out := make([][]SearchResult, len(req.Queries))
 	raws := make([][]float64, 0, len(req.Queries))
 	slots := make([]int, 0, len(req.Queries))

@@ -407,8 +407,8 @@ func (r *Router) Search(raw []float64, n int) ([]Hit, []uint64) {
 }
 
 // SearchBatch scatters the WHOLE batch to every shard — each shard runs
-// its own TopKBatch so the gemm tiling over the batch is preserved —
-// then merges per query row. Identical results to calling Search per
+// its own TopKBatch over it (one gemm on exact engines, the screened
+// scan fanned across the queries otherwise) — then merges per query row. Identical results to calling Search per
 // query.
 func (r *Router) SearchBatch(raws [][]float64, n int) ([][]Hit, []uint64) {
 	snaps := r.snapshots()
