@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check check-full build test race race-hot stress vet lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-rank bench-e2e bench-compare
+.PHONY: check check-full build test race race-hot stress vet fmt-check lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-rank bench-e2e bench-compare
 
-# check is the fast pre-commit loop: vet, build, tests, the race detector
-# on the hot parallel packages only, and the project linter. Run it on
-# every change.
-check: vet build test race-hot lint
+# check is the fast pre-commit loop: formatting, vet, build, tests, the
+# race detector on the hot parallel packages only, and the project linter.
+# Run it on every change.
+check: fmt-check vet build test race-hot lint
 
 # check-full is the slow full sweep — the race detector over every
 # package plus everything in check and a double pass over the serving
@@ -16,6 +16,12 @@ check-full: vet build lint lint-tests stress
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would change any file (the benchmark's build
+# cache under .bench_build/ is not ours to format).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # lint runs lsilint, the in-tree static analyzer (internal/lint): the
 # determinism, lock-discipline, and //lsilint:noalloc hot-path checks

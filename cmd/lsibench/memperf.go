@@ -135,8 +135,8 @@ func runMemPerf(out string, seed int64) error {
 
 	// --- Build vs restore startup at increasing corpus sizes. The build
 	// column grows with the corpus (SVD-bound); the restore column is
-	// dominated by re-parsing document text against the fixed vocabulary
-	// and attaching mmap views — no factorization, no cache rebuild.
+	// decoding the document list, re-normalizing V and attaching mmap
+	// views — no parse, no factorization, no cache rebuild.
 	dir, err := os.MkdirTemp("", "memperf")
 	if err != nil {
 		return err

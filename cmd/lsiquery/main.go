@@ -99,20 +99,14 @@ func main() {
 	}
 
 	answer := func(q string) {
-		raw := coll.QueryVector(q)
-		nz := 0
-		for _, v := range raw {
-			if v > 0 {
-				nz++
-			}
-		}
-		if nz == 0 {
+		counts := coll.QueryCounts(q)
+		if len(counts.Idx) == 0 {
 			fmt.Println("  (no query word is in the index)")
 			return
 		}
 		// Bounded top-k selection: only the documents to be printed are
 		// ranked, not the whole collection.
-		for _, r := range model.RankTop(raw, *top) {
+		for _, r := range model.RankVectorTop(model.ProjectSparse(counts, nil), *top) {
 			fmt.Printf("  %+.3f  %s\n", r.Score, docs[r.Doc].ID)
 		}
 		if *showTerms {

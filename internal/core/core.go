@@ -299,17 +299,50 @@ func (m *Model) weightQuery(raw []float64) []float64 {
 	return out
 }
 
-// ProjectQuery maps a raw query term-frequency vector into k-space:
-// q̂ = qᵀU_kΣ_k⁻¹ (Eq 6). The same projection folds in a document (Eq 7):
-// "folding-in documents is essentially the process described in §2.2 for
-// query representation."
-func (m *Model) ProjectQuery(raw []float64) []float64 {
-	q := m.weightQuery(raw)
-	out := dense.MulVecT(m.U, q)
-	for c := range out {
-		out[c] /= m.S[c]
+// ProjectSparse maps raw term counts into k-space: q̂ = qᵀU_kΣ_k⁻¹ (Eq 6),
+// the model's weighting scheme applied on the way. The same projection
+// folds in a document (Eq 7): "folding-in documents is essentially the
+// process described in §2.2 for query representation." It is a gather
+// over the rows of U_k the counts name — 2·nnz(q)·k flops, not 2mk — and
+// because q.Idx ascends, each q̂[c] accumulates its terms in the order a
+// dense product over all m rows would, so the two agree to the last bit.
+// The result is written to dst when it has room for k values (a fresh
+// slice otherwise) and returned.
+func (m *Model) ProjectSparse(q sparse.Vec, dst []float64) []float64 {
+	if n := len(q.Idx); n > 0 && q.Idx[n-1] >= m.NumTerms() {
+		panic(fmt.Sprintf("core: query term %d want < %d terms", q.Idx[n-1], m.NumTerms()))
 	}
-	return out
+	if k := m.U.Cols; cap(dst) < k {
+		dst = make([]float64, k)
+	} else {
+		dst = dst[:k]
+		clear(dst)
+	}
+	for p, i := range q.Idx {
+		w := m.Scheme.Local.Apply(q.Val[p])
+		if i < len(m.global) {
+			w *= m.global[i]
+		}
+		if w == 0 {
+			continue
+		}
+		for c, u := range m.U.Row(i) {
+			dst[c] += w * u
+		}
+	}
+	for c := range dst {
+		dst[c] /= m.S[c]
+	}
+	return dst
+}
+
+// ProjectQuery is ProjectSparse for a dense raw term-frequency vector
+// over the current vocabulary.
+func (m *Model) ProjectQuery(raw []float64) []float64 {
+	if len(raw) != m.NumTerms() {
+		panic(fmt.Sprintf("core: query len %d want %d terms", len(raw), m.NumTerms()))
+	}
+	return m.ProjectSparse(sparse.Compress(raw), nil)
 }
 
 // ProjectTerm maps a raw term-occurrence vector (1×n over current

@@ -19,11 +19,14 @@ func (m *Model) FoldInDocs(d *sparse.CSR) {
 	if d.Rows != m.NumTerms() {
 		panic(fmt.Sprintf("core: FoldInDocs terms %d want %d", d.Rows, m.NumTerms()))
 	}
-	rows := make([][]float64, d.Cols)
+	// Column j of d is row j of the transpose (one counting sort, O(nnz)),
+	// already in the ascending term order ProjectSparse wants.
+	dt := d.T()
+	rows := dense.New(d.Cols, m.U.Cols)
 	for j := 0; j < d.Cols; j++ {
-		rows[j] = m.ProjectQuery(d.Col(j))
+		m.ProjectSparse(dt.RowVec(j), rows.Row(j))
 	}
-	m.V = m.V.AugmentRows(dense.NewFromRows(rows))
+	m.V = m.V.AugmentRows(rows)
 	// The scoring engine's norm cache extends itself lazily on the next
 	// query: existing rows are untouched by folding, so only the appended
 	// rows need normalizing (see docEngine).

@@ -25,50 +25,53 @@ type Document struct {
 type Collection struct {
 	Docs  []Document
 	Vocab *text.Vocabulary
-	// TD is the m×n raw count matrix (m = Vocab.Size(), n = len(Docs)).
+	// TD is the m×n raw count matrix (m = Vocab.Size(), n = len(Docs)) —
+	// the input of the SVD. New and Subset populate it; a collection from
+	// Restore serves an already-factored model and carries nil.
 	TD   *sparse.CSR
 	opts text.ParseOptions
 }
 
 // New builds a Collection from documents under the given parsing options.
+// Each document is tokenized once: the vocabulary pass and the count pass
+// share the token lists.
 func New(docs []Document, opts text.ParseOptions) *Collection {
-	texts := make([]string, len(docs))
-	for i, d := range docs {
-		texts[i] = d.Text
-	}
-	vocab := text.BuildVocabulary(texts, opts)
-	b := sparse.NewBuilder(vocab.Size(), len(docs))
+	toks := make([][]string, len(docs))
 	for j, d := range docs {
-		for i, f := range vocab.Count(d.Text) {
-			if f != 0 {
-				b.Add(i, j, f)
-			}
-		}
+		toks[j] = text.Tokenize(d.Text)
 	}
-	return &Collection{Docs: docs, Vocab: vocab, TD: b.Build(), opts: opts}
+	vocab := text.BuildVocabularyTokens(toks, opts)
+	td := countMatrix(vocab, len(docs), func(j int) []string { return toks[j] })
+	return &Collection{Docs: docs, Vocab: vocab, TD: td, opts: opts}
+}
+
+// countMatrix returns the m×n raw count matrix of n token streams under
+// vocab: the document-major matrix is appended one sorted count vector at
+// a time and transposed (a counting sort, O(nnz)).
+func countMatrix(vocab *text.Vocabulary, n int, tokens func(j int) []string) *sparse.CSR {
+	dm := &sparse.CSR{Rows: n, Cols: vocab.Size(), RowPtr: make([]int, n+1)}
+	var c sparse.Vec
+	for j := 0; j < n; j++ {
+		vocab.CountInto(&c, tokens(j))
+		dm.ColIdx = append(dm.ColIdx, c.Idx...)
+		dm.Val = append(dm.Val, c.Val...)
+		dm.RowPtr[j+1] = len(dm.ColIdx)
+	}
+	return dm.T()
 }
 
 // ParseOptions returns the options the collection was parsed with (useful
 // for persisting and for extending with the same rules).
 func (c *Collection) ParseOptions() text.ParseOptions { return c.opts }
 
-// Restore rebuilds a Collection against an already-fixed vocabulary —
-// the snapshot-restore constructor. Where New derives the vocabulary
-// from the documents (document-frequency filtering and all), Restore
-// takes it as given and only re-extracts the count matrix, one linear
-// parse per document: cheap next to the SVD the snapshot exists to
-// avoid, and exact — counting is deterministic, so TD is bit-identical
-// to what the original process held.
+// Restore returns a Collection over documents whose vocabulary is already
+// fixed — the constructor for serving a factored model (snapshot restore,
+// shard views). Where New derives the vocabulary from the documents and
+// counts them into TD, Restore parses nothing: queries and folded
+// documents need only the vocabulary, so TD stays nil and the cost is
+// O(1).
 func Restore(docs []Document, vocab *text.Vocabulary, opts text.ParseOptions) *Collection {
-	b := sparse.NewBuilder(vocab.Size(), len(docs))
-	for j, d := range docs {
-		for i, f := range vocab.Count(d.Text) {
-			if f != 0 {
-				b.Add(i, j, f)
-			}
-		}
-	}
-	return &Collection{Docs: docs, Vocab: vocab, TD: b.Build(), opts: opts}
+	return &Collection{Docs: docs, Vocab: vocab, opts: opts}
 }
 
 // Terms returns the number of indexing terms (m).
@@ -77,33 +80,34 @@ func (c *Collection) Terms() int { return c.Vocab.Size() }
 // Size returns the number of documents (n).
 func (c *Collection) Size() int { return len(c.Docs) }
 
-// QueryVector returns the raw term-frequency vector for a query string
-// under the collection's vocabulary; non-indexed words are dropped, as the
-// paper drops "of", "children", "with" from the §3.1 example query.
+// QueryCounts returns the raw term counts of a query string under the
+// collection's vocabulary; non-indexed words are dropped, as the paper
+// drops "of", "children", "with" from the §3.1 example query. An empty
+// result means no query word is indexed.
+func (c *Collection) QueryCounts(q string) sparse.Vec {
+	var v sparse.Vec
+	c.Vocab.CountInto(&v, text.Tokenize(q))
+	return v
+}
+
+// QueryVector is QueryCounts as a dense length-m term-frequency vector.
 func (c *Collection) QueryVector(q string) []float64 {
-	return c.Vocab.Count(q)
+	return c.QueryCounts(q).Scatter(c.Terms())
 }
 
 // DocVectors builds the raw count matrix for additional documents under
 // the existing vocabulary — the D (m×p) matrix of Eq (10) used by both
 // folding-in and SVD-updating.
 func (c *Collection) DocVectors(docs []Document) *sparse.CSR {
-	b := sparse.NewBuilder(c.Terms(), len(docs))
-	for j, d := range docs {
-		for i, f := range c.Vocab.Count(d.Text) {
-			if f != 0 {
-				b.Add(i, j, f)
-			}
-		}
-	}
-	return b.Build()
+	return countMatrix(c.Vocab, len(docs), func(j int) []string { return text.Tokenize(docs[j].Text) })
 }
 
 // Subset returns a Collection over the documents idx (kept in the given
-// order) sharing the receiver's vocabulary and parsing options — the
-// shard constructor: the vocabulary stays global so every shard parses,
-// weights and projects identically, while documents are local. TD
-// columns are re-extracted from the parent matrix in one O(nnz) pass.
+// order) sharing the receiver's vocabulary and parsing options, with its
+// own count matrix: the vocabulary stays global so the subset parses,
+// weights and projects identically to its parent. TD columns are
+// re-extracted from the parent matrix in one O(nnz) pass. (Shards of a
+// factored model need no counts and use Restore instead.)
 func (c *Collection) Subset(idx []int) *Collection {
 	docs := make([]Document, len(idx))
 	pos := make([]int, c.Size())

@@ -69,7 +69,7 @@ func DotF32(x, y []float32) float32 {
 	for ; i < len(x); i++ {
 		t += x[i] * y[i]
 	}
-	return (((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))) + t
+	return (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + t
 }
 
 // ConvertF32 rounds src element-wise to float32 into dst — the

@@ -106,8 +106,8 @@ func TestMulBTF32IntoMatchesDot(t *testing.T) {
 	cases := []struct{ m, n, k int }{
 		{1, 1, 1},
 		{3, 5, 8},
-		{32, 200, 48},          // one tile
-		{97, 301, 129},         // ragged tiles on every edge
+		{32, 200, 48},                    // one tile
+		{97, 301, 129},                   // ragged tiles on every edge
 		{8, parallelThreshold/32 + 5, 4}, // crosses the parallel threshold
 	}
 	for _, tc := range cases {

@@ -27,7 +27,7 @@ func TestAccumF32KeepsLowBits(t *testing.T) {
 	// Summing many small float32 values into a float64 accumulator must
 	// not quantize the running sum back to float32.
 	dst := []float64{0}
-	for i := 0; i < 1 << 12; i++ {
+	for i := 0; i < 1<<12; i++ {
 		AccumF32(dst, []float32{0x1p-12})
 	}
 	if math.Abs(dst[0]-1) > 1e-9 {

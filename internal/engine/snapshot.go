@@ -5,6 +5,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dense"
 	"repro/internal/rank"
+	"repro/internal/sparse"
 )
 
 // Snapshot is one immutable, internally consistent view of the serving
@@ -57,38 +58,49 @@ func (s *Snapshot) LiveDocs() int { return len(s.Docs) - s.Tombstones() }
 // Doc returns document j.
 func (s *Snapshot) Doc(j int) corpus.Document { return s.Docs[j] }
 
-// RankTop projects a raw query vector and returns the n best documents in
-// ranking order, scored against the snapshot's normalized cache. The
-// computation is identical to core.Model.RankTop — same projection, same
-// normalized matrix, same bounded selection — so results are byte-stable
-// with the model's own scoring path; it just reads the snapshot-owned
-// cache instead of the model's lock-guarded one.
-// Tombstoned rows are excluded as if never inserted.
-func (s *Snapshot) RankTop(raw []float64, n int) []core.Ranked {
-	items, st := s.Eng.TopKSkipWithStats(s.Model.ProjectQuery(raw), n, s.Dead)
+// RankTopSparse projects raw query term counts against this snapshot's
+// own model and returns the n best documents in ranking order, scored
+// against the snapshot's normalized cache. The computation is identical
+// to core.Model.RankTop — same projection, same normalized matrix, same
+// bounded selection — so results are byte-stable with the model's own
+// scoring path; it just reads the snapshot-owned cache instead of the
+// model's lock-guarded one. Tombstoned rows are excluded as if never
+// inserted.
+func (s *Snapshot) RankTopSparse(q sparse.Vec, n int) []core.Ranked {
+	items, st := s.Eng.TopKSkipWithStats(s.Model.ProjectSparse(q, nil), n, s.Dead)
 	s.counters.record(st)
 	return toRanked(items)
 }
 
-// RankBatch scores a block of raw query vectors in one engine call — one
-// gemm on an exact engine, the screened scan once per query otherwise —
-// and returns the top n documents for each, matching
+// RankTop is RankTopSparse for a dense raw query vector.
+func (s *Snapshot) RankTop(raw []float64, n int) []core.Ranked {
+	return s.RankTopSparse(sparse.Compress(raw), n)
+}
+
+// RankBatchSparse scores a block of raw query term counts in one engine
+// call — one gemm on an exact engine, the screened scan once per query
+// otherwise — and returns the top n documents for each, matching
 // core.Model.RankBatch.
-func (s *Snapshot) RankBatch(raws [][]float64, n int) [][]core.Ranked {
-	if len(raws) == 0 {
+func (s *Snapshot) RankBatchSparse(qs []sparse.Vec, n int) [][]core.Ranked {
+	if len(qs) == 0 {
 		return nil
 	}
-	qhats := make([][]float64, len(raws))
-	for i, raw := range raws {
-		qhats[i] = s.Model.ProjectQuery(raw)
+	qhats := dense.New(len(qs), s.Model.U.Cols)
+	for i, q := range qs {
+		s.Model.ProjectSparse(q, qhats.Row(i))
 	}
-	res, stats := s.Eng.TopKBatchSkipWithStats(dense.NewFromRows(qhats), n, s.Dead)
+	res, stats := s.Eng.TopKBatchSkipWithStats(qhats, n, s.Dead)
 	out := make([][]core.Ranked, len(res))
 	for i, items := range res {
 		s.counters.record(stats[i])
 		out[i] = toRanked(items)
 	}
 	return out
+}
+
+// RankBatch is RankBatchSparse for dense raw query vectors.
+func (s *Snapshot) RankBatch(raws [][]float64, n int) [][]core.Ranked {
+	return s.RankBatchSparse(sparse.CompressAll(raws), n)
 }
 
 func toRanked(items []rank.Item) []core.Ranked {

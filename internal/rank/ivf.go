@@ -1,8 +1,10 @@
 package rank
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dense"
@@ -450,25 +452,26 @@ func ivfUBSlack(dim int) float64 {
 }
 
 // ivfCellOrder ranks the index cells for a normalized query: certified
-// upper bounds plus the deterministic decreasing-ub visit order.
-func (e *Engine) ivfCellOrder(qn []float64) ([]float64, []int) {
+// upper bounds plus the deterministic decreasing-ub visit order (cell id
+// ascending on bit-equal bounds), both in sc's storage.
+func (e *Engine) ivfCellOrder(qn []float64, sc *scanScratch) ([]float64, []int) {
 	idx := e.ivf
 	nc := len(idx.members)
-	ubs := make([]float64, nc)
+	if cap(sc.ubs) < nc {
+		sc.ubs = make([]float64, nc)
+		sc.order = make([]int, nc)
+	}
+	ubs, order := sc.ubs[:nc], sc.order[:nc]
 	ubSlack := ivfUBSlack(e.docs.Cols)
 	for c := range ubs {
 		ubs[c] = dense.Dot(qn, idx.cents.Row(c)) + idx.radius[c] + ubSlack
-	}
-	order := make([]int, nc)
-	for c := range order {
 		order[c] = c
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := order[a], order[b]
-		if ubs[ca] != ubs[cb] { //lsilint:ignore floatcmp — deterministic visit order needs bit equality on ties
-			return ubs[ca] > ubs[cb]
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(ubs[b], ubs[a]); c != 0 {
+			return c
 		}
-		return ca < cb
+		return a - b
 	})
 	return ubs, order
 }

@@ -51,9 +51,9 @@ func TestIVFByteIdentical(t *testing.T) {
 		n, dim    int
 		clustered bool
 	}{
-		{50, 8, false},   // below screenCutoff: exact fallback, still identical
-		{900, 24, true},  // clustered, serial scan
-		{2600, 16, true}, // clustered, above scoreParallelCutoff
+		{50, 8, false},    // below screenCutoff: exact fallback, still identical
+		{900, 24, true},   // clustered, serial scan
+		{2600, 16, true},  // clustered, above scoreParallelCutoff
 		{3000, 24, false}, // isotropic: bounds rarely prune, must still be exact
 		{5000, 40, true},  // clustered, parallel, heavy ties
 	}

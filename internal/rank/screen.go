@@ -221,6 +221,10 @@ type scanScratch struct {
 	// d8 holds the raw integer dot of each gathered row when the int8 tier
 	// is the first tier.
 	d8 []int32
+	// ubs and order hold the per-cell upper bounds and visit order of an
+	// indexed scan (ivfCellOrder).
+	ubs   []float64
+	order []int
 }
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -275,12 +279,12 @@ func (e *Engine) scan(qn []float64, k, nprobe int, skip Skip, fanOut bool) ([]It
 	n, base := e.docs.Rows, 0
 	var ubs []float64
 	var order []int
+	sc := getScanScratch(n)
 	if e.ivf != nil {
 		base = e.ivf.rows
-		ubs, order = e.ivfCellOrder(qn)
+		ubs, order = e.ivfCellOrder(qn, sc)
 		st.ClustersTotal = len(order)
 	}
-	sc := getScanScratch(n)
 	liveBelow := base - skip.CountUpTo(base)
 	lbs := runSpans(n-base, k, fanOut && (n-base)*e.docs.Cols >= scoreParallelCutoff, func(s *selector, lo, hi int) {
 		lo, hi = base+lo, base+hi

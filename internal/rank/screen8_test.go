@@ -150,7 +150,7 @@ func TestInt8ExtendParity(t *testing.T) {
 	root := NewEngine(raw)
 	more1 := randomMatrix(rng, 300, dim)
 	more2 := randomMatrix(rng, 250, dim)
-	shared := root.Extend(more1) // wins the tail claim
+	shared := root.Extend(more1)  // wins the tail claim
 	sibling := root.Extend(more2) // loses the CAS, copies
 	for _, tc := range []struct {
 		e    *Engine

@@ -21,10 +21,10 @@ func TestTwoStageByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	rng := rand.New(rand.NewSource(21))
 	cases := []struct{ n, dim int }{
-		{50, 8},      // below screenCutoff: exact fallback, still identical
-		{700, 24},    // screened, serial scan
-		{2200, 16},   // screened, above scoreParallelCutoff
-		{5000, 40},   // screened, parallel, more ties
+		{50, 8},                 // below screenCutoff: exact fallback, still identical
+		{700, 24},               // screened, serial scan
+		{2200, 16},              // screened, above scoreParallelCutoff
+		{5000, 40},              // screened, parallel, more ties
 		{screenCutoff/4 + 3, 4}, // exactly around the cutoff boundary
 	}
 	for _, tc := range cases {
@@ -193,7 +193,7 @@ func TestMirrorExtendProperty(t *testing.T) {
 func TestExtendExactStaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	e := NewEngineExact(randomMatrix(rng, 40, 6))
-	e1 := e.Extend(randomMatrix(rng, 10, 6)) // copy path
+	e1 := e.Extend(randomMatrix(rng, 10, 6))  // copy path
 	e2 := e1.Extend(randomMatrix(rng, 10, 6)) // shared-tail path
 	if e1.mir != nil || e2.mir != nil {
 		t.Fatal("exact chain grew a mirror")

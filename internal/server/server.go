@@ -41,6 +41,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/shard"
+	"repro/internal/sparse"
 	"repro/internal/synonym"
 )
 
@@ -221,8 +222,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	raw := s.coll.QueryVector(q)
-	if allZero(raw) {
+	counts := s.coll.QueryCounts(q)
+	if len(counts.Idx) == 0 {
 		setGeneration(w, s.router.Generations())
 		s.writeJSON(w, []SearchResult{})
 		return
@@ -230,7 +231,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// Scatter–gather: one atomic load per shard pins immutable views, the
 	// per-shard exact top-n merge under (score desc, submission order asc),
 	// byte-identical to a single engine over the whole corpus.
-	hits, gens := s.router.Search(raw, n)
+	hits, gens := s.router.SearchSparse(counts, n)
 	setGeneration(w, gens)
 	s.writeJSON(w, s.results(hits))
 }
@@ -281,18 +282,18 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	// (exact engines gemm, screened engines scan per query) — and merge
 	// per query row.
 	out := make([][]SearchResult, len(req.Queries))
-	raws := make([][]float64, 0, len(req.Queries))
+	counts := make([]sparse.Vec, 0, len(req.Queries))
 	slots := make([]int, 0, len(req.Queries))
 	for i, q := range req.Queries {
-		raw := s.coll.QueryVector(q)
-		if allZero(raw) {
+		c := s.coll.QueryCounts(q)
+		if len(c.Idx) == 0 {
 			out[i] = []SearchResult{}
 			continue
 		}
-		raws = append(raws, raw)
+		counts = append(counts, c)
 		slots = append(slots, i)
 	}
-	rows, gens := s.router.SearchBatch(raws, n)
+	rows, gens := s.router.SearchBatchSparse(counts, n)
 	setGeneration(w, gens)
 	for bi, hits := range rows {
 		out[slots[bi]] = s.results(hits)
@@ -604,15 +605,6 @@ func boolGauge(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func allZero(xs []float64) bool {
-	for _, x := range xs {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // writeJSON encodes v onto the response. By the time encoding fails the

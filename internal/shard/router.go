@@ -43,6 +43,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/engine"
 	"repro/internal/rank"
+	"repro/internal/sparse"
 )
 
 // Config parameterizes the router. The zero value gets one shard and the
@@ -215,7 +216,14 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			engines[s], errs[s] = engine.New(coll.Subset(idx[s]), model.DocSubsetView(idx[s]), cfg.Engine)
+			docs := make([]corpus.Document, len(idx[s]))
+			for i, j := range idx[s] {
+				docs[i] = coll.Docs[j]
+			}
+			// Documents plus the shared vocabulary, no count matrix: nothing
+			// downstream of a factored model reads TD.
+			local := corpus.Restore(docs, coll.Vocab, coll.ParseOptions())
+			engines[s], errs[s] = engine.New(local, model.DocSubsetView(idx[s]), cfg.Engine)
 		}(s)
 	}
 	wg.Wait()
@@ -382,16 +390,19 @@ func (r *Router) ordOf(id string) int {
 	return int(int64(1) << 62)
 }
 
-// Search fans the raw query out to every shard concurrently, merges the
-// per-shard exact top-n under (score desc, global ordinal asc), and
-// returns the merged top-n with the per-shard generation vector that
-// fully determines it. Results are byte-identical to a single engine
-// over the same corpus (parity-pinned).
-func (r *Router) Search(raw []float64, n int) ([]Hit, []uint64) {
+// SearchSparse fans the raw query term counts out to every shard
+// concurrently, merges the per-shard exact top-n under (score desc, global
+// ordinal asc), and returns the merged top-n with the per-shard generation
+// vector that fully determines it. Results are byte-identical to a single
+// engine over the same corpus (parity-pinned). Counts, not a projected q̂,
+// are what is scattered: while a compaction lands shard by shard the
+// shards sit on different bases, so each snapshot projects against its own
+// model — 2·nnz(q)·k flops apiece.
+func (r *Router) SearchSparse(q sparse.Vec, n int) ([]Hit, []uint64) {
 	snaps := r.snapshots()
 	gens := generations(snaps)
 	if len(snaps) == 1 {
-		return r.hitsFromShard(snaps[0], 0, snaps[0].RankTop(raw, n)), gens
+		return r.hitsFromShard(snaps[0], 0, snaps[0].RankTopSparse(q, n)), gens
 	}
 	perShard := make([][]core.Ranked, len(snaps))
 	var wg sync.WaitGroup
@@ -399,25 +410,30 @@ func (r *Router) Search(raw []float64, n int) ([]Hit, []uint64) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			perShard[s] = snaps[s].RankTop(raw, n)
+			perShard[s] = snaps[s].RankTopSparse(q, n)
 		}(s)
 	}
 	wg.Wait()
 	return r.merge(snaps, perShard, n), gens
 }
 
-// SearchBatch scatters the WHOLE batch to every shard — each shard runs
-// its own TopKBatch over it (one gemm on exact engines, the screened
-// scan fanned across the queries otherwise) — then merges per query row. Identical results to calling Search per
-// query.
-func (r *Router) SearchBatch(raws [][]float64, n int) ([][]Hit, []uint64) {
+// Search is SearchSparse for a dense raw query vector.
+func (r *Router) Search(raw []float64, n int) ([]Hit, []uint64) {
+	return r.SearchSparse(sparse.Compress(raw), n)
+}
+
+// SearchBatchSparse scatters the WHOLE batch to every shard — each shard
+// runs its own TopKBatch over it (one gemm on exact engines, the screened
+// scan fanned across the queries otherwise) — then merges per query row.
+// Identical results to calling SearchSparse per query.
+func (r *Router) SearchBatchSparse(qs []sparse.Vec, n int) ([][]Hit, []uint64) {
 	snaps := r.snapshots()
 	gens := generations(snaps)
-	if len(raws) == 0 {
+	if len(qs) == 0 {
 		return nil, gens
 	}
 	if len(snaps) == 1 {
-		ranked := snaps[0].RankBatch(raws, n)
+		ranked := snaps[0].RankBatchSparse(qs, n)
 		out := make([][]Hit, len(ranked))
 		for q, row := range ranked {
 			out[q] = r.hitsFromShard(snaps[0], 0, row)
@@ -430,19 +446,24 @@ func (r *Router) SearchBatch(raws [][]float64, n int) ([][]Hit, []uint64) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			perShard[s] = snaps[s].RankBatch(raws, n)
+			perShard[s] = snaps[s].RankBatchSparse(qs, n)
 		}(s)
 	}
 	wg.Wait()
-	out := make([][]Hit, len(raws))
+	out := make([][]Hit, len(qs))
 	rows := make([][]core.Ranked, len(snaps))
-	for q := range raws {
+	for q := range qs {
 		for s := range snaps {
 			rows[s] = perShard[s][q]
 		}
 		out[q] = r.merge(snaps, rows, n)
 	}
 	return out, gens
+}
+
+// SearchBatch is SearchBatchSparse for dense raw query vectors.
+func (r *Router) SearchBatch(raws [][]float64, n int) ([][]Hit, []uint64) {
+	return r.SearchBatchSparse(sparse.CompressAll(raws), n)
 }
 
 // hitsFromShard is the single-shard fast path: no ordinal translation —

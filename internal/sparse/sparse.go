@@ -230,8 +230,9 @@ func (m *CSR) ColNorms() []float64 {
 	return out
 }
 
-// Col extracts column j as a dense vector. O(nnz); prefer the transpose for
-// repeated access.
+// Col extracts column j as a dense vector. O(Rows·log nnz_row) — a test
+// and worked-example convenience; code that walks columns transposes
+// once and reads RowVec.
 func (m *CSR) Col(j int) []float64 {
 	if j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("sparse: col %d out of range %d", j, m.Cols))
@@ -241,6 +242,52 @@ func (m *CSR) Col(j int) []float64 {
 		out[i] = m.At(i, j)
 	}
 	return out
+}
+
+// Vec is a sparse vector: ascending, unique indices and their values —
+// the term counts of one query or document (§2.1: a handful of nonzeros
+// out of m). Producers append to a caller-owned Vec so one buffer serves
+// a whole loop; consumers only read it.
+type Vec struct {
+	Idx []int
+	Val []float64
+}
+
+// Compress returns the nonzero entries of the dense vector x.
+func Compress(x []float64) Vec {
+	var v Vec
+	for i, f := range x {
+		if f != 0 {
+			v.Idx = append(v.Idx, i)
+			v.Val = append(v.Val, f)
+		}
+	}
+	return v
+}
+
+// CompressAll is Compress over a block of dense vectors.
+func CompressAll(xs [][]float64) []Vec {
+	out := make([]Vec, len(xs))
+	for i, x := range xs {
+		out[i] = Compress(x)
+	}
+	return out
+}
+
+// Scatter expands v into a dense vector of length n.
+func (v Vec) Scatter(n int) []float64 {
+	out := make([]float64, n)
+	for p, i := range v.Idx {
+		out[i] = v.Val[p]
+	}
+	return out
+}
+
+// RowVec returns row i as a Vec aliasing the matrix storage (no copy);
+// column j of m is row j of m.T().
+func (m *CSR) RowVec(i int) Vec {
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	return Vec{Idx: m.ColIdx[lo:hi:hi], Val: m.Val[lo:hi:hi]}
 }
 
 // Dense expands m into a row-major dense slice-of-slices, for tests and for

@@ -6,6 +6,19 @@ import (
 	"unicode/utf8"
 )
 
+// tokenizeSeeds is the corpus both tokenizer fuzz targets start from.
+var tokenizeSeeds = []string{
+	"Human machine INTERFACE for ABC computer applications",
+	"user's users' x's's ''s '' ' don't",
+	"café naïve Über STRASSE Ça",
+	"\xff\xfe broken \x80 utf8 \xf0\x28\x8c\x28",
+	strings.Repeat("a", 1<<16) + " " + strings.Repeat("b'", 1<<10),
+	"",
+	"   \t\n\r  ",
+	"123 4x5 0'9",
+	"İstanbul ǅungla Straße ÉCOLE's ٣٤ ４２ 東京タワー 'S",
+}
+
 // FuzzTokenize drives the lexical front end with arbitrary byte strings —
 // non-UTF-8 sequences, huge tokens, pathological apostrophe stacks — and
 // checks the invariants the rest of the pipeline depends on: no panics,
@@ -13,17 +26,7 @@ import (
 // (re-tokenizing a token yields exactly that token), and the full
 // vocabulary/count path agreeing with itself on dimensions.
 func FuzzTokenize(f *testing.F) {
-	seeds := []string{
-		"Human machine INTERFACE for ABC computer applications",
-		"user's users' x's's ''s '' ' don't",
-		"café naïve Über STRASSE Ça",
-		"\xff\xfe broken \x80 utf8 \xf0\x28\x8c\x28",
-		strings.Repeat("a", 1<<16) + " " + strings.Repeat("b'", 1<<10),
-		"",
-		"   \t\n\r  ",
-		"123 4x5 0'9",
-	}
-	for _, s := range seeds {
+	for _, s := range tokenizeSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

@@ -6,41 +6,58 @@
 package text
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
+
+	"repro/internal/sparse"
 )
 
 // Tokenize splits raw text into lowercase tokens on any rune that is not a
 // letter, digit, or apostrophe (apostrophes inside words are kept so
 // "user's" survives as one token, then normalized by dropping the suffix).
+// A token that is already lowercase is a substring of s, not a copy.
 func Tokenize(s string) []string {
 	var toks []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
+	// start is the byte offset of the open token (-1: none); folded records
+	// whether any rune in it changes under ToLower.
+	start, folded := -1, false
+	flush := func(end int) {
+		if start < 0 {
 			return
+		}
+		span := s[start:end]
+		if folded {
+			span = strings.Map(unicode.ToLower, span)
 		}
 		// Normalization can consume the whole token (a bare "'" or "'s"):
 		// emit nothing rather than an empty string, which would otherwise
 		// become a phantom vocabulary term.
-		if t := normalizeToken(b.String()); t != "" {
+		if t := normalizeToken(span); t != "" {
 			toks = append(toks, t)
 		}
-		b.Reset()
+		start, folded = -1, false
 	}
-	for _, r := range s {
+	for i, r := range s {
 		switch {
 		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
+			if start < 0 {
+				start = i
+			}
+			if unicode.ToLower(r) != r {
+				folded = true
+			}
 		case r == '\'':
 			// keep; handled in normalizeToken
-			b.WriteRune(r)
+			if start < 0 {
+				start = i
+			}
 		default:
-			flush()
+			flush(i)
 		}
 	}
-	flush()
+	flush(len(s))
 	return toks
 }
 
@@ -138,11 +155,10 @@ func (o *ParseOptions) fill() {
 	}
 }
 
-// units converts a raw token stream to indexing units under the options:
-// folded, filtered content words, plus (optionally) adjacent-pair bigrams.
-// Stop words and short tokens break bigram adjacency.
-func units(toks []string, opts *ParseOptions) []string {
-	var out []string
+// eachUnit calls f on every indexing unit of a raw token stream under the
+// options: folded, filtered content words, plus (optionally) adjacent-pair
+// bigrams. Stop words and short tokens break bigram adjacency.
+func eachUnit(toks []string, opts *ParseOptions, f func(u string)) {
 	prev := "" // previous content word, "" after a break
 	for _, tok := range toks {
 		if a, ok := opts.Aliases[tok]; ok {
@@ -152,46 +168,48 @@ func units(toks []string, opts *ParseOptions) []string {
 			prev = ""
 			continue
 		}
-		out = append(out, tok)
+		f(tok)
 		if opts.IncludeBigrams && prev != "" {
-			out = append(out, prev+" "+tok)
+			f(prev + " " + tok)
 		}
 		prev = tok
 	}
-	return out
 }
 
 // BuildVocabulary tokenizes every document and returns the vocabulary of
 // terms that pass the parsing rule, in sorted order for determinism.
 func BuildVocabulary(docs []string, opts ParseOptions) *Vocabulary {
+	toks := make([][]string, len(docs))
+	for j, d := range docs {
+		toks[j] = Tokenize(d)
+	}
+	return BuildVocabularyTokens(toks, opts)
+}
+
+// BuildVocabularyTokens is BuildVocabulary over documents that are already
+// tokenized (toks[j] = Tokenize(document j)), so a caller that also counts
+// the documents tokenizes each once.
+func BuildVocabularyTokens(toks [][]string, opts ParseOptions) *Vocabulary {
 	opts.fill()
-	df := map[string]int{}
-	for _, d := range docs {
-		seen := map[string]bool{}
-		for _, u := range units(Tokenize(d), &opts) {
-			if seen[u] {
-				continue
+	// df[u] = (documents containing u, 1 + the last such document).
+	type freq struct{ n, last int }
+	df := map[string]freq{}
+	for j, doc := range toks {
+		eachUnit(doc, &opts, func(u string) {
+			if e := df[u]; e.last != j+1 {
+				df[u] = freq{e.n + 1, j + 1}
 			}
-			seen[u] = true
-			df[u]++
-		}
+		})
 	}
 	var terms []string
-	for t, n := range df {
-		if n >= opts.MinDocs {
-			terms = append(terms, t)
+	for t, e := range df {
+		if e.n >= opts.MinDocs {
+			// Tokens alias the document texts; a vocabulary must not pin them.
+			terms = append(terms, strings.Clone(t))
 		}
 	}
 	sort.Strings(terms)
-	v := &Vocabulary{
-		Terms: terms,
-		Index: make(map[string]int, len(terms)),
-		opts:  opts,
-	}
-	for i, t := range terms {
-		v.Index[t] = i
-	}
-	return v
+	return NewVocabularyFromTerms(terms, opts)
 }
 
 // NewVocabularyFromTerms rebuilds a vocabulary from a persisted term
@@ -215,19 +233,36 @@ func NewVocabularyFromTerms(terms []string, opts ParseOptions) *Vocabulary {
 // Size returns the number of indexing terms.
 func (v *Vocabulary) Size() int { return len(v.Terms) }
 
-// Count returns the term-frequency vector of one document under this
-// vocabulary (terms outside the vocabulary are ignored, as for stop words).
-func (v *Vocabulary) Count(doc string) []float64 {
-	return v.CountTokens(Tokenize(doc))
+// CountInto writes the term counts of a token stream into dst, reusing
+// its storage: ascending term indices with their frequencies (terms
+// outside the vocabulary are ignored, as for stop words). This is the one
+// counting routine — queries, folded documents and the term–document
+// matrix are all built from it.
+func (v *Vocabulary) CountInto(dst *sparse.Vec, toks []string) {
+	idx, val := dst.Idx[:0], dst.Val[:0]
+	eachUnit(toks, &v.opts, func(u string) {
+		if i, ok := v.Index[u]; ok {
+			idx = append(idx, i)
+		}
+	})
+	slices.Sort(idx)
+	n := 0
+	for p, i := range idx {
+		if p > 0 && i == idx[n-1] {
+			val[n-1]++
+			continue
+		}
+		idx[n] = i
+		val = append(val, 1)
+		n++
+	}
+	dst.Idx, dst.Val = idx[:n], val
 }
 
-// CountTokens is Count for pre-tokenized input.
-func (v *Vocabulary) CountTokens(toks []string) []float64 {
-	out := make([]float64, len(v.Terms))
-	for _, u := range units(toks, &v.opts) {
-		if i, ok := v.Index[u]; ok {
-			out[i]++
-		}
-	}
-	return out
+// Count returns the dense term-frequency vector of one document under
+// this vocabulary: CountInto scattered over all m terms.
+func (v *Vocabulary) Count(doc string) []float64 {
+	var c sparse.Vec
+	v.CountInto(&c, Tokenize(doc))
+	return c.Scatter(len(v.Terms))
 }

@@ -98,18 +98,12 @@ func Index(docs []Document, opts Options) (*Idx, error) {
 // Search returns the n documents most similar to the free-text query,
 // best first. Queries whose words are all unindexed return nil.
 func (x *Idx) Search(query string, n int) []Hit {
-	raw := x.inner.Coll.QueryVector(query)
-	nz := false
-	for _, v := range raw {
-		if v != 0 {
-			nz = true
-			break
-		}
-	}
-	if !nz {
+	counts := x.inner.Coll.QueryCounts(query)
+	if len(counts.Idx) == 0 {
 		return nil
 	}
-	ranked := x.inner.Model.RankTop(raw, n)
+	m := x.inner.Model
+	ranked := m.RankVectorTop(m.ProjectSparse(counts, nil), n)
 	out := make([]Hit, len(ranked))
 	for i, r := range ranked {
 		out[i] = Hit{ID: x.docs[r.Doc].ID, Text: x.docs[r.Doc].Text, Cosine: r.Score}
@@ -124,25 +118,19 @@ func (x *Idx) Search(query string, n int) []Hit {
 // to query i; queries with no indexed words get an empty slice.
 func (x *Idx) SearchBatch(queries []string, n int) [][]Hit {
 	out := make([][]Hit, len(queries))
-	raws := make([][]float64, 0, len(queries))
+	m := x.inner.Model
+	qhats := make([][]float64, 0, len(queries))
 	slots := make([]int, 0, len(queries))
 	for i, q := range queries {
-		raw := x.inner.Coll.QueryVector(q)
-		nz := false
-		for _, v := range raw {
-			if v != 0 {
-				nz = true
-				break
-			}
-		}
-		if !nz {
+		counts := x.inner.Coll.QueryCounts(q)
+		if len(counts.Idx) == 0 {
 			out[i] = []Hit{}
 			continue
 		}
-		raws = append(raws, raw)
+		qhats = append(qhats, m.ProjectSparse(counts, nil))
 		slots = append(slots, i)
 	}
-	for bi, ranked := range x.inner.Model.RankBatch(raws, n) {
+	for bi, ranked := range m.RankVectorBatch(qhats, n) {
 		hits := make([]Hit, len(ranked))
 		for j, r := range ranked {
 			hits[j] = Hit{ID: x.docs[r.Doc].ID, Text: x.docs[r.Doc].Text, Cosine: r.Score}
