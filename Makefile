@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-full build test race race-hot stress vet fmt-check lint lint-tests loc bench bench-query bench-build bench-shard bench-update bench-mem bench-rank bench-e2e bench-compare
+.PHONY: check check-full build test race race-hot stress vet fmt-check lint lint-tests loc bench-tables bench-e2e bench-compare
 
 # check is the fast pre-commit loop: formatting, vet, build, tests, the
 # race detector on the hot parallel packages only, and the project linter.
@@ -71,53 +71,20 @@ race-hot:
 stress:
 	$(GO) test -race -count=2 ./internal/engine/... ./internal/shard/... ./internal/server/...
 
-# bench-query regenerates the query-serving performance record (seed
-# scoring path vs float64 engine vs the float32-screened two-stage path
-# vs the cluster-pruned IVF path) consumed by BENCH_query.json: each
-# collection at gomaxprocs=1 and NumCPU, with clusters-scanned columns
-# and a measured recall@10 nprobe sweep. bench is kept as an alias.
-bench-query:
-	$(GO) run ./cmd/lsibench -queryperf -out BENCH_query.json
-
-bench: bench-query
-
-# bench-shard regenerates the scatter-gather scaling record: 1/2/4/8
-# shards over the 200k clustered corpus — single/batch query latency and
-# fold-in ingest throughput — merged into BENCH_query.json under the
-# "shard_scaling" key (the queryperf cases are preserved). Every shard
-# count is parity-gated against the 1-shard results before timing.
-bench-shard:
-	$(GO) run ./cmd/lsibench -shardperf -out BENCH_query.json
-
-# bench-build regenerates the SVD build-time record (blocked vs seed
-# Lanczos) consumed by BENCH_build.json.
-bench-build:
-	$(GO) run ./cmd/lsibench -buildperf -out BENCH_build.json
-
-# bench-update regenerates the compaction-time record (O'Brien dense
-# inner SVD vs Golub–Kahan projection updating) consumed by
-# BENCH_update.json: per corpus size, best-of-reps update seconds per
-# strategy plus the top-10 retrieval overlap between the two updated
-# models.
-bench-update:
-	$(GO) run ./cmd/lsibench -updateperf -out BENCH_update.json
-
-# bench-mem regenerates the memory/startup record consumed by
-# BENCH_mem.json: measured bytes per document for each screening tier
-# (float64 / float32+residual / int8+scale+residual, parity-gated), and
-# build-from-text vs restore-from-snapshot startup time at two corpus
-# sizes (the -save-model / -load-model path).
-bench-mem:
-	$(GO) run ./cmd/lsibench -memperf -out BENCH_mem.json
-
-# bench-rank runs internal/rank's micro-benchmark table (BenchmarkTopKTable:
-# {exact, float32-first, int8-first} × {flat, ivf} × {single, batch of 16}
-# at 12 000×64 and 50 000×100) at GOMAXPROCS 1 and 2, six times each — read
-# the best of six per case. It answers what bench-e2e cannot separate:
-# which first tier is fastest, and whether the span fan-out of the
-# un-indexed range still pays (flat single at -cpu 2 vs 1).
-bench-rank:
-	$(GO) test -run '^$$' -bench TopKTable -cpu 1,2 -count 6 ./internal/rank
+# bench-tables runs the per-layer benchmark tables — what bench-e2e cannot
+# separate — at GOMAXPROCS 1 and 2, six times each; read the best of six
+# per case (≈ 25 min):
+#   rank   BenchmarkTopKTable: {exact, float32-first, int8-first} ×
+#          {flat, ivf} × {single, batch of 16} at 12 000×64 and 50 000×100 —
+#          which first tier is fastest, and whether the span fan-out of the
+#          un-indexed range still pays (flat single at -cpu 2 vs 1).
+#   shard  BenchmarkRouterShards: latency, rows/query and cells/query at
+#          1/2/4 shards over the topical corpus, parity-gated.
+#   core   BenchmarkCompactionStrategy: O'Brien vs Golub–Kahan update time
+#          with overlap@10, at two corpus sizes.
+bench-tables:
+	$(GO) test -run '^$$' -bench 'TopKTable|RouterShards|CompactionStrategy' -cpu 1,2 -count 6 \
+		./internal/rank ./internal/shard ./internal/core
 
 # bench-e2e runs the repository's benchmark (bench/README.md) — the four
 # workloads BENCHMARK.json names, end-to-end metrics only — appending one

@@ -1,7 +1,9 @@
 // Benchmarks regenerating the cost-relevant tables and figures of the
 // paper. Naming convention: BenchmarkTableN / BenchmarkFigN measure the
-// computation behind that exhibit; the experiment harness (cmd/lsibench)
-// prints the corresponding data.
+// computation behind that exhibit; cmd/lsibench prints the corresponding
+// data and times nothing. Serving-path performance is not measured here:
+// bench/ does that end to end, and the per-layer tables sit beside their
+// code (make bench-tables).
 package repro_test
 
 import (

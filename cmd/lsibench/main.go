@@ -6,15 +6,12 @@
 //	lsibench -exp fig6            # one experiment
 //	lsibench -exp all             # everything, in paper order
 //	lsibench -exp retrieval -seed 7
-//	lsibench -queryperf -out BENCH_query.json
-//	lsibench -shardperf -out BENCH_query.json
-//	lsibench -buildperf -out BENCH_build.json
 //
 // Output is a plain-text report per experiment: the regenerated
 // table/figure data, the paper's corresponding claim, and named metrics.
 package main
 
-// benchmark harness: wall-clock timing is the product.
+// each exhibit reports its wall-clock run time.
 //lsilint:file-ignore walltime
 
 import (
@@ -32,78 +29,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for synthetic workloads")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	asJSON := flag.Bool("json", false, "emit one JSON object per experiment instead of text")
-	queryPerf := flag.Bool("queryperf", false, "measure query-serving latency/throughput (engine vs seed path) and exit")
-	buildPerf := flag.Bool("buildperf", false, "measure truncated-SVD build time (blocked vs seed Lanczos) and exit")
-	shardPerf := flag.Bool("shardperf", false, "measure scatter-gather serving at 1/2/4/8 shards (exact merge, parity-gated) and exit")
-	updatePerf := flag.Bool("updateperf", false, "measure SVD-update (compaction) time, O'Brien vs Golub–Kahan, and exit")
-	memPerf := flag.Bool("memperf", false, "measure bytes/doc per screening tier and snapshot build-vs-restore startup, and exit")
-	perfOut := flag.String("out", "", "output file for -queryperf/-shardperf (default BENCH_query.json) / -buildperf (default BENCH_build.json) / -updateperf (default BENCH_update.json) / -memperf (default BENCH_mem.json)")
 	flag.Parse()
-
-	if *memPerf {
-		out := *perfOut
-		if out == "" {
-			out = "BENCH_mem.json"
-		}
-		if err := runMemPerf(out, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsibench: memperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("memory/startup performance written to %s\n", out)
-		return
-	}
-
-	if *queryPerf {
-		out := *perfOut
-		if out == "" {
-			out = "BENCH_query.json"
-		}
-		if err := runQueryPerf(out, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsibench: queryperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("query performance written to %s\n", out)
-		return
-	}
-
-	if *shardPerf {
-		out := *perfOut
-		if out == "" {
-			out = "BENCH_query.json"
-		}
-		if err := runShardPerf(out, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsibench: shardperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("shard scaling written to %s\n", out)
-		return
-	}
-
-	if *updatePerf {
-		out := *perfOut
-		if out == "" {
-			out = "BENCH_update.json"
-		}
-		if err := runUpdatePerf(out, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsibench: updateperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("update performance written to %s\n", out)
-		return
-	}
-
-	if *buildPerf {
-		out := *perfOut
-		if out == "" {
-			out = "BENCH_build.json"
-		}
-		if err := runBuildPerf(out, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lsibench: buildperf: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("build performance written to %s\n", out)
-		return
-	}
 
 	if *list {
 		for _, r := range experiments.All() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/eval"
 	"repro/internal/sparse"
+	"repro/internal/text"
 	"repro/internal/weight"
 )
 
@@ -309,5 +311,59 @@ func TestParseUpdateStrategy(t *testing.T) {
 	}
 	if StrategyGK.String() != "gk" || StrategyOBrien.String() != "obrien" {
 		t.Fatal("String() spelling drifted from flag values")
+	}
+}
+
+// BenchmarkCompactionStrategy times one compaction-sized document update
+// — PlanDocsUpdateOpts, the rotation of the existing rows and Apply, the
+// work a coordinated compaction pays — under O'Brien's dense inner SVD
+// and under the Golub–Kahan projection at the default rank, at two
+// corpus sizes. O'Brien's inner problem is k×(k+p), GK's k×(k+l) with
+// l = DefaultGKRank, so the gap widens with the pending block p; the
+// price is reported beside the time as overlap@10, the mean share of the
+// O'Brien-updated model's top 10 that the strategy's model returns
+// (1 for O'Brien itself) — the Vecharynski–Saad trade-off.
+func BenchmarkCompactionStrategy(b *testing.B) {
+	for _, size := range []struct{ docs, pending int }{{3000, 300}, {12000, 1200}} {
+		synth := corpus.GenerateSynth(corpus.SynthOptions{
+			Seed: 1, Topics: 64, ConceptsPerTopic: 24, Docs: size.docs + size.pending,
+			DocLen: 60, NoiseWords: 200, NoiseZipf: true,
+		})
+		coll := corpus.New(synth.Docs[:size.docs], text.ParseOptions{MinDocs: 2})
+		model, err := BuildCollection(coll, Config{K: 64, Scheme: weight.LogEntropy})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pending := coll.DocVectors(synth.Docs[size.docs:])
+		update := func(st UpdateStrategy) *Model {
+			plan, err := model.PlanDocsUpdateOpts(pending, UpdateOptions{Strategy: st})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return plan.Apply(model, plan.RotateDocs(model.V).AugmentRows(plan.VNew))
+		}
+		queries := make([][]float64, len(synth.Queries))
+		for i, q := range synth.Queries {
+			queries[i] = coll.QueryVector(q.Text)
+		}
+		exact := update(StrategyOBrien)
+		want := make([][]int, len(queries))
+		for i, q := range queries {
+			want[i] = rankedIDs(exact.RankTop(q, 10))
+		}
+		for _, st := range []UpdateStrategy{StrategyOBrien, StrategyGK} {
+			b.Run(fmt.Sprintf("docs=%d+%d/%v", size.docs, size.pending, st), func(b *testing.B) {
+				var updated *Model
+				for i := 0; i < b.N; i++ {
+					updated = update(st)
+				}
+				b.StopTimer()
+				var overlap float64
+				for i, q := range queries {
+					overlap += overlapAt(want[i], rankedIDs(updated.RankTop(q, 10)), 10)
+				}
+				b.ReportMetric(overlap/float64(len(queries)), "overlap@10")
+			})
+		}
 	}
 }

@@ -134,45 +134,70 @@ type Config struct {
 	RestoredNextID int
 }
 
-// Stats is a point-in-time view of the pipeline for /stats and /metrics.
+// Stats is a point-in-time view of the pipeline — the one declaration of
+// every pipeline counter: shard.Stats embeds it for the tier totals and
+// for each per-shard block, and /stats encodes it through these tags.
 type Stats struct {
-	Generation  uint64
-	QueueDepth  int
-	Compactions int64
-	Compacting  bool
+	Generation  uint64 `json:"generation"`
+	QueueDepth  int    `json:"queue_depth"`
+	Compactions int64  `json:"compactions"`
+	// Compacting is reported once for the tier (shard.Stats), not per
+	// shard: compactions are coordinated.
+	Compacting bool `json:"-"`
 	// Documents counts live documents — physical rows minus tombstones.
-	Documents       int
-	FoldedDocuments int
+	Documents       int `json:"documents"`
+	FoldedDocuments int `json:"folded_documents"`
 	// Tombstones counts deleted documents still physically present in the
 	// serving snapshot (excluded from every query); the next compaction
 	// folds them out.
-	Tombstones int
+	Tombstones int `json:"tombstones"`
 	// Screening reports whether the serving scoring cache carries the
 	// float32 screening mirror (false when Config.DisableScreening).
-	Screening bool
+	Screening bool `json:"screening"`
 	// MirrorMaxEps is the worst per-row quantization residual of the
 	// screening mirror — the scalar every screening bound is built from
 	// (0 without a mirror).
-	MirrorMaxEps float64
+	MirrorMaxEps float64 `json:"mirror_max_eps"`
 	// IVFClusters is the cell count of the serving cluster index (0 when
 	// the snapshot carries no index).
-	IVFClusters int
+	IVFClusters int `json:"ivf_clusters"`
 	// IVFUnclusteredTail is how many rows sit past the indexed prefix —
 	// appended since the last (re)build and always scanned. Grows with
 	// fold-ins, resets when a rebuild lands.
-	IVFUnclusteredTail int
+	IVFUnclusteredTail int `json:"ivf_unclustered_tail"`
 	// IVFRebuilds counts cluster-index builds that landed (including the
 	// initial one).
-	IVFRebuilds int64
+	IVFRebuilds int64 `json:"ivf_rebuilds"`
 	// Cumulative query-path counters since the engine started. Queries
 	// counts ranked queries (batch rows count individually); the other
 	// three accumulate the per-query ScreenStats, so e.g.
 	// RescoreCandidates/Queries is the mean float64 rescore width and
 	// ClustersScanned/Queries the mean cells visited.
-	Queries           int64
-	RescoreCandidates int64
-	ClustersScanned   int64
-	ScannedRows       int64
+	Queries           int64 `json:"queries"`
+	RescoreCandidates int64 `json:"rescore_candidates"`
+	ClustersScanned   int64 `json:"clusters_scanned"`
+	ScannedRows       int64 `json:"scanned_rows"`
+}
+
+// Add folds one shard's stats into a tier total: counters and gauges
+// sum, Generation and MirrorMaxEps take the maximum, Screening holds
+// only while every shard screens (start the total from Screening: true).
+func (st *Stats) Add(o Stats) {
+	st.Generation = max(st.Generation, o.Generation)
+	st.QueueDepth += o.QueueDepth
+	st.Compactions += o.Compactions
+	st.Documents += o.Documents
+	st.FoldedDocuments += o.FoldedDocuments
+	st.Tombstones += o.Tombstones
+	st.Screening = st.Screening && o.Screening
+	st.MirrorMaxEps = max(st.MirrorMaxEps, o.MirrorMaxEps)
+	st.IVFClusters += o.IVFClusters
+	st.IVFUnclusteredTail += o.IVFUnclusteredTail
+	st.IVFRebuilds += o.IVFRebuilds
+	st.Queries += o.Queries
+	st.RescoreCandidates += o.RescoreCandidates
+	st.ClustersScanned += o.ClustersScanned
+	st.ScannedRows += o.ScannedRows
 }
 
 type submitResult struct {

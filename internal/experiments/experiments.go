@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus the §5 application results, as structured text reports.
-// Each experiment returns a Result with formatted lines (what cmd/lsibench
-// prints) and named metrics (what the tests and EXPERIMENTS.md assert
-// against the paper's claims).
+// Each experiment returns a Result with formatted lines (what cmd/lsibench,
+// the exhibit runner, prints) and named metrics (what the tests and
+// EXPERIMENTS.md assert against the paper's claims). Elapsed times in a
+// report are context, not a performance record: those come from bench/
+// and the go test -bench tables.
 package experiments
 
 import (

@@ -214,3 +214,14 @@ func SubspaceIteration(a Operator, opts Options, oversample, iters int) *Result 
 		MatVecs:   matvecs,
 	}
 }
+
+// reorthogonalize removes the components of v along every basis vector,
+// with a second pass for numerical safety (the "twice is enough" rule).
+// Serial modified Gram–Schmidt; the reference Lanczos in the tests shares it.
+func reorthogonalize(v []float64, basis [][]float64) {
+	for pass := 0; pass < 2; pass++ {
+		for _, b := range basis {
+			dense.Axpy(-dense.Dot(b, v), b, v)
+		}
+	}
+}

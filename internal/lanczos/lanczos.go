@@ -16,8 +16,8 @@
 // worker-count-independent reduction order, the Ritz mapping is one tiled
 // gemm per side, and all per-step workspace is preallocated so the
 // iteration loop performs no heap allocations after warm-up. The seed
-// implementation is preserved as TruncatedSVDReference for property tests
-// and the -buildperf benchmark.
+// implementation is preserved in reference_test.go for the property tests
+// and BenchmarkBlockedBuildK16 / BenchmarkReferenceBuildK16.
 package lanczos
 
 import (
@@ -463,7 +463,7 @@ func maxInt(a, b int) int {
 }
 
 // Verify returns max over the k triplets of ‖A vᵢ − σᵢ uᵢ‖ / σ₁ — a direct
-// a-posteriori accuracy check used by tests and the harness.
+// a-posteriori accuracy check used by tests and internal/experiments.
 func Verify(a Operator, r *Result) float64 {
 	m, _ := a.Dims()
 	if len(r.S) == 0 {

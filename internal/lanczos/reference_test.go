@@ -11,9 +11,9 @@ import (
 // shipped in the seed: slice-of-slice bases, serial per-vector
 // reorthogonalization sweeps, two fresh vector allocations per step, and a
 // full Ritz-vector materialization at every convergence check. It is the
-// frozen baseline that the blocked build path is property-tested and
-// benchmarked against (cmd/lsibench -buildperf); it is not used by any
-// production caller.
+// frozen baseline that the blocked build path is property-tested
+// (blocked_test.go) and benchmarked (BenchmarkReferenceBuildK16) against —
+// test code only.
 
 // TruncatedSVDReference computes the K largest singular triplets of A with
 // the seed (pre-blocked) implementation. Same contract as TruncatedSVD.
@@ -112,17 +112,6 @@ func TruncatedSVDReference(a Operator, opts Options) (*Result, error) {
 		res = lastResult
 	}
 	return res, ErrNotConverged
-}
-
-// reorthogonalize removes the components of v along every basis vector,
-// with a second pass for numerical safety (the "twice is enough" rule).
-// Serial modified Gram–Schmidt — also used by the Gram-matrix solver.
-func reorthogonalize(v []float64, basis [][]float64) {
-	for pass := 0; pass < 2; pass++ {
-		for _, b := range basis {
-			dense.Axpy(-dense.Dot(b, v), b, v)
-		}
-	}
 }
 
 // extractReference solves the small projected SVD and maps Ritz vectors

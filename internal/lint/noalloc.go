@@ -10,9 +10,9 @@ import (
 // build and scoring work: functions annotated //lsilint:noalloc — the
 // Lanczos step, the scoring kernels, the gemv/gemm inner routines — must
 // not heap-allocate per call. The garbage they would generate is paid on
-// every iteration of loops that run millions of times, and the runtime
-// benchmarks (`make bench`, `make bench-build`) assume zero allocs/op
-// after warm-up.
+// every iteration of loops that run millions of times, and the kernel
+// benchmarks (`make bench-tables`, the lanczos BuildK16 pair) assume zero
+// allocs/op after warm-up.
 //
 // Flagged constructs: make/new, append (may grow), slice and map
 // composite literals, address-of composite literals, string

@@ -67,14 +67,6 @@ func NewEngine(vectors *dense.Matrix) *Engine {
 	return newEngine(vectors, true, true)
 }
 
-// NewEngineF32 is NewEngine without the int8 coarse tier: the two-stage
-// float32-then-float64 path of PR 5. It exists for the memory/throughput
-// comparison benchmarks and as a fallback reference; production engines
-// carry the full three-tier stack.
-func NewEngineF32(vectors *dense.Matrix) *Engine {
-	return newEngine(vectors, true, false)
-}
-
 // NewEngineExact is NewEngine without any screening tier: every query
 // runs the float64 path directly. It trades the multi-stage speedup for
 // less memory — the opt-out behind the server's screening flag, and the
@@ -98,7 +90,7 @@ func (e *Engine) Screening() bool { return e.mir != nil }
 // Int8Screening reports whether this engine carries the int8 coarse
 // tier in front of the float32 mirror. It can be false on a screening
 // engine when the row width exceeds dense.MaxI8Dim (the integer dot
-// could overflow) or the engine was built with NewEngineF32.
+// could overflow).
 func (e *Engine) Int8Screening() bool { return e.mir != nil && e.mir.q8 != nil }
 
 // Extend returns a new Engine covering the old documents plus the given

@@ -22,7 +22,7 @@ func scanEngines(docs *dense.Matrix, prefix int) (exact *Engine, screened map[st
 	for _, tier := range []struct {
 		name string
 		ctor func(*dense.Matrix) *Engine
-	}{{"int8", NewEngine}, {"f32", NewEngineF32}} {
+	}{{"int8", NewEngine}, {"f32", newEngineF32}} {
 		screened[tier.name+"/flat"] = tier.ctor(docs)
 		screened[tier.name+"/ivf"] = tier.ctor(docs).BuildIVF(cfg)
 		screened[tier.name+"/ivf+tail"] = tier.ctor(head).BuildIVF(cfg).Extend(tail)

@@ -9,6 +9,12 @@ import (
 	"repro/internal/dense"
 )
 
+// newEngineF32 is NewEngine without the int8 coarse tier — the two-stage
+// float32-then-float64 path the three-tier stack is compared against.
+func newEngineF32(vectors *dense.Matrix) *Engine {
+	return newEngine(vectors, true, false)
+}
+
 // TestInt8TierByteIdentical pins the three-tier tentpole: across
 // randomized engines — with heavy exact ties, zero rows, zero queries,
 // serial and parallel scans — the int8-screened TopK/TopKBatch must be
@@ -33,7 +39,7 @@ func TestInt8TierByteIdentical(t *testing.T) {
 			docs.Set(9, j, 0) // a zero row must survive the coarse tier too
 		}
 		int8e := NewEngine(docs)
-		f32e := NewEngineF32(docs)
+		f32e := newEngineF32(docs)
 		exact := NewEngineExact(docs)
 		if !int8e.Int8Screening() || f32e.Int8Screening() || exact.Int8Screening() {
 			t.Fatal("Int8Screening() flags wrong")

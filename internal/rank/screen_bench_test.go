@@ -39,7 +39,7 @@ func benchCollection(b *testing.B, rows, dim int) *benchCase {
 	}
 	rng := rand.New(rand.NewSource(41))
 	c := &benchCase{docs: randomMatrix(rng, rows, dim), queries: randomMatrix(rng, benchBatch, dim)}
-	f32, i8 := NewEngineF32(c.docs), NewEngine(c.docs)
+	f32, i8 := newEngineF32(c.docs), NewEngine(c.docs)
 	c.engines = map[string]*Engine{
 		"exact/flat": NewEngineExact(c.docs),
 		"f32/flat":   f32,
@@ -52,7 +52,7 @@ func benchCollection(b *testing.B, rows, dim int) *benchCase {
 }
 
 // BenchmarkTopKTable is the first-tier × index × entry-point table
-// `make bench-rank` runs at GOMAXPROCS 1 and 2: {exact, float32-first,
+// `make bench-tables` runs at GOMAXPROCS 1 and 2: {exact, float32-first,
 // int8-first} × {flat, ivf} × {single, batch of 16} at the repository
 // benchmark's shape (12 000×64) and at 50 000×100. Single cases cycle
 // through the batch's queries, so ns/op there and ns/query on the batch

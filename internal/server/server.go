@@ -48,8 +48,9 @@ import (
 // Options configures the HTTP layer and its underlying serving tier.
 type Options struct {
 	// Shards is how many engine shards serve the corpus (default 1).
-	// Results are byte-identical for every value; shards scale the
-	// update pipeline and let concurrent query work spread across cores.
+	// Results are byte-identical for every value; shards give each slice
+	// its own update pipeline. What they cost the read side is measured by
+	// shard's BenchmarkRouterShards (docs/SERVING.md, "Tuning -shards").
 	Shards int
 	// Engine parameterizes each shard's snapshot/update pipeline (queue
 	// size, batch tick). Its CompactThreshold drives the router's
@@ -246,8 +247,30 @@ func (s *Server) results(hits []shard.Hit) []SearchResult {
 
 // maxBatchQueries bounds one /search/batch request; a block this size is
 // already enough to amortize the gemm, and an unbounded request is a
-// memory foot-gun on a public endpoint.
+// memory foot-gun on a public endpoint (maxBodyBytes bounds the bytes).
 const maxBatchQueries = 1024
+
+// maxBodyBytes bounds a POST body before it is decoded: the largest
+// legitimate request is one long document or maxBatchQueries short
+// queries, and the decoder would otherwise buffer whatever a client sends.
+const maxBodyBytes = 4 << 20
+
+// decodeBody decodes a JSON POST body of at most maxBodyBytes into v. On
+// failure it has answered 413 (body too large) or 400 (not JSON) and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
 
 // BatchSearchRequest is the /search/batch POST body.
 type BatchSearchRequest struct {
@@ -261,8 +284,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -349,8 +371,7 @@ func (s *Server) handleDocuments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AddDocumentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Text == "" {
@@ -424,56 +445,17 @@ func (s *Server) handleDeleteDocument(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ShardStats is one shard's block in the /stats response.
-type ShardStats struct {
-	Shard              int     `json:"shard"`
-	Generation         uint64  `json:"generation"`
-	Documents          int     `json:"documents"`
-	Tombstones         int     `json:"tombstones"`
-	FoldedDocuments    int     `json:"folded_documents"`
-	QueueDepth         int     `json:"queue_depth"`
-	Compactions        int64   `json:"compactions"`
-	Screening          bool    `json:"screening"`
-	MirrorMaxEps       float64 `json:"mirror_max_eps"`
-	IVFClusters        int     `json:"ivf_clusters"`
-	IVFUnclusteredTail int     `json:"ivf_unclustered_tail"`
-	IVFRebuilds        int64   `json:"ivf_rebuilds"`
-	Queries            int64   `json:"queries"`
-	RescoreCandidates  int64   `json:"rescore_candidates"`
-	ClustersScanned    int64   `json:"clusters_scanned"`
-	ScannedRows        int64   `json:"scanned_rows"`
-}
-
-// Stats is the /stats response: corpus-wide aggregates (sums over
-// shards; Generation is the highest shard generation, Compactions counts
-// coordinated cycles) plus the full per-shard blocks.
+// Stats is the /stats response: the shape of the shared term basis and
+// the global §4.3 orthogonality loss, then the tier's shard.Stats —
+// corpus-wide aggregates (sums over shards; generation is the highest
+// shard generation, compactions counts coordinated cycles) plus the full
+// per-shard blocks.
 type Stats struct {
 	Terms             int     `json:"terms"`
-	Documents         int     `json:"documents"`
-	Tombstones        int     `json:"tombstones"`
-	FoldedDocuments   int     `json:"folded_documents"`
 	Factors           int     `json:"factors"`
 	Sigma1            float64 `json:"sigma1"`
 	OrthogonalityLoss float64 `json:"orthogonality_loss"`
-	Generation        uint64  `json:"generation"`
-	QueueDepth        int     `json:"queue_depth"`
-	Compactions       int64   `json:"compactions"`
-	Screening         bool    `json:"screening"`
-	// Screening/IVF observability: the mirror's worst quantization
-	// residual, the serving cluster index shape, and cumulative query-path
-	// counters (see engine.Stats for semantics).
-	MirrorMaxEps       float64      `json:"mirror_max_eps"`
-	IVFClusters        int          `json:"ivf_clusters"`
-	IVFUnclusteredTail int          `json:"ivf_unclustered_tail"`
-	IVFRebuilds        int64        `json:"ivf_rebuilds"`
-	Queries            int64        `json:"queries"`
-	RescoreCandidates  int64        `json:"rescore_candidates"`
-	ClustersScanned    int64        `json:"clusters_scanned"`
-	ScannedRows        int64        `json:"scanned_rows"`
-	Shards             int          `json:"shards"`
-	Generations        []uint64     `json:"generations"`
-	Compacting         bool         `json:"compacting"`
-	PerShard           []ShardStats `json:"per_shard"`
+	shard.Stats
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -485,62 +467,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	setGeneration(w, st.Generations)
 	// The term basis is shared; shard 0's snapshot answers for shape.
 	snap := s.router.ShardSnapshot(0)
-	out := Stats{
-		Terms:              snap.Model.NumTerms(),
-		Documents:          st.Documents,
-		Tombstones:         st.Tombstones,
-		FoldedDocuments:    st.FoldedDocuments,
-		Factors:            snap.Model.K,
-		Sigma1:             snap.Model.S[0],
-		OrthogonalityLoss:  s.router.Orthogonality(),
-		Generation:         maxGen(st.Generations),
-		QueueDepth:         st.QueueDepth,
-		Compactions:        st.Compactions,
-		Screening:          st.Screening,
-		MirrorMaxEps:       st.MirrorMaxEps,
-		IVFClusters:        st.IVFClusters,
-		IVFUnclusteredTail: st.IVFUnclusteredTail,
-		IVFRebuilds:        st.IVFRebuilds,
-		Queries:            st.Queries,
-		RescoreCandidates:  st.RescoreCandidates,
-		ClustersScanned:    st.ClustersScanned,
-		ScannedRows:        st.ScannedRows,
-		Shards:             st.Shards,
-		Generations:        st.Generations,
-		Compacting:         st.Compacting,
-		PerShard:           make([]ShardStats, len(st.PerShard)),
-	}
-	for i, ss := range st.PerShard {
-		out.PerShard[i] = ShardStats{
-			Shard:              ss.Shard,
-			Generation:         ss.Generation,
-			Documents:          ss.Documents,
-			Tombstones:         ss.Tombstones,
-			FoldedDocuments:    ss.FoldedDocuments,
-			QueueDepth:         ss.QueueDepth,
-			Compactions:        ss.Compactions,
-			Screening:          ss.Screening,
-			MirrorMaxEps:       ss.MirrorMaxEps,
-			IVFClusters:        ss.IVFClusters,
-			IVFUnclusteredTail: ss.IVFUnclusteredTail,
-			IVFRebuilds:        ss.IVFRebuilds,
-			Queries:            ss.Queries,
-			RescoreCandidates:  ss.RescoreCandidates,
-			ClustersScanned:    ss.ClustersScanned,
-			ScannedRows:        ss.ScannedRows,
-		}
-	}
-	s.writeJSON(w, out)
-}
-
-func maxGen(gens []uint64) uint64 {
-	var m uint64
-	for _, g := range gens {
-		if g > m {
-			m = g
-		}
-	}
-	return m
+	s.writeJSON(w, Stats{
+		Terms:             snap.Model.NumTerms(),
+		Factors:           snap.Model.K,
+		Sigma1:            snap.Model.S[0],
+		OrthogonalityLoss: s.router.Orthogonality(),
+		Stats:             st,
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -562,7 +495,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		docSeries[i] = labeledValue{label, ss.Documents}
 	}
 	s.metrics.render(w, []gauge{
-		{"lsi_snapshot_generation", "Highest shard serving-snapshot generation (monotonic).", "gauge", maxGen(st.Generations)},
+		{"lsi_snapshot_generation", "Highest shard serving-snapshot generation (monotonic).", "gauge", st.Generation},
 		{"lsi_queue_depth", "Fold-in submissions waiting for the next batch tick, summed over shards.", "gauge", st.QueueDepth},
 		{"lsi_compactions_total", "Coordinated SVD-update compaction cycles completed.", "counter", st.Compactions},
 		{"lsi_documents", "Documents in the serving snapshots, summed over shards.", "gauge", st.Documents},

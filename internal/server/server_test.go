@@ -239,6 +239,9 @@ func TestAddDocumentValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty text: status %d", rec.Code)
 	}
+	if rec := postDoc(s, `{"text":"`+strings.Repeat("a", maxBodyBytes)+`"}`); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d", rec.Code)
+	}
 	if rec := get(t, s, "/documents"); rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /documents: status %d", rec.Code)
 	}
@@ -317,6 +320,10 @@ func TestBatchSearchValidation(t *testing.T) {
 	big, _ := json.Marshal(BatchSearchRequest{Queries: make([]string, maxBatchQueries+1)})
 	if rec := postBatch(t, s, string(big)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized batch: status %d", rec.Code)
+	}
+	huge := `{"queries":["` + strings.Repeat("a", maxBodyBytes) + `"]}`
+	if rec := postBatch(t, s, huge); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d", rec.Code)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package shard is the scatter–gather serving tier: a Router owns N
 // engine.Engine shards — each with its own snapshot pointer, fold-in
 // queue, scoring cache, IVF index and compaction lifecycle — behind one
-// submit/search surface, scaling update and query work across shards
-// without giving up exactness.
+// submit/search surface, spreading update and query work across shards
+// without giving up exactness (BenchmarkRouterShards measures what the
+// spread costs a read).
 //
 // The exactness argument has three legs:
 //
@@ -94,36 +95,21 @@ func (e *QueueFullError) Unwrap() error { return engine.ErrQueueFull }
 
 // ShardStats is one shard's engine stats plus its index.
 type ShardStats struct {
-	Shard int
+	Shard int `json:"shard"`
 	engine.Stats
 }
 
-// Stats aggregates the tier for /stats and /metrics: sums and maxima
-// over shards at the top, the full per-shard blocks underneath.
+// Stats is the tier for /stats and /metrics: the embedded engine.Stats
+// holds the totals over shards (engine.Stats.Add), except that
+// Compactions counts coordinated cycles — not a per-shard sum — and
+// Compacting reports one in flight; the full per-shard blocks sit
+// underneath.
 type Stats struct {
-	Shards          int
-	Generations     []uint64
-	Documents       int
-	FoldedDocuments int
-	QueueDepth      int
-	// Tombstones counts deleted-but-present rows across shards; the next
-	// coordinated compaction folds them out.
-	Tombstones int
-	// Compactions counts completed coordinated compactions; Compacting
-	// reports one in flight.
-	Compactions int64
-	Compacting  bool
-	Screening   bool
-	// MirrorMaxEps is the worst per-row mirror residual across shards.
-	MirrorMaxEps       float64
-	IVFClusters        int
-	IVFUnclusteredTail int
-	IVFRebuilds        int64
-	Queries            int64
-	RescoreCandidates  int64
-	ClustersScanned    int64
-	ScannedRows        int64
-	PerShard           []ShardStats
+	Shards      int      `json:"shards"`
+	Generations []uint64 `json:"generations"`
+	Compacting  bool     `json:"compacting"`
+	engine.Stats
+	PerShard []ShardStats `json:"per_shard"`
 }
 
 // Router owns the shards and the cross-shard bookkeeping: the global ID
@@ -518,32 +504,18 @@ func (r *Router) merge(snaps []*engine.Snapshot, perShard [][]core.Ranked, n int
 func (r *Router) Stats() Stats {
 	st := Stats{
 		Shards:      len(r.shards),
-		Compactions: r.compactions.Load(),
+		Generations: make([]uint64, len(r.shards)),
 		Compacting:  r.compacting.Load(),
-		Screening:   true,
+		Stats:       engine.Stats{Screening: true},
 		PerShard:    make([]ShardStats, len(r.shards)),
 	}
-	st.Generations = make([]uint64, len(r.shards))
 	for s, e := range r.shards {
 		es := e.Stats()
 		st.PerShard[s] = ShardStats{Shard: s, Stats: es}
 		st.Generations[s] = es.Generation
-		st.Documents += es.Documents
-		st.FoldedDocuments += es.FoldedDocuments
-		st.Tombstones += es.Tombstones
-		st.QueueDepth += es.QueueDepth
-		st.IVFClusters += es.IVFClusters
-		st.IVFUnclusteredTail += es.IVFUnclusteredTail
-		st.IVFRebuilds += es.IVFRebuilds
-		st.Queries += es.Queries
-		st.RescoreCandidates += es.RescoreCandidates
-		st.ClustersScanned += es.ClustersScanned
-		st.ScannedRows += es.ScannedRows
-		st.Screening = st.Screening && es.Screening
-		if es.MirrorMaxEps > st.MirrorMaxEps {
-			st.MirrorMaxEps = es.MirrorMaxEps
-		}
+		st.Add(es)
 	}
+	st.Compactions = r.compactions.Load()
 	return st
 }
 

@@ -32,7 +32,7 @@ func synthFixture(t *testing.T, docs, k int) (*corpus.Collection, *core.Model, [
 	return coll, model, raws
 }
 
-func closeRouter(t *testing.T, r *Router) {
+func closeRouter(t testing.TB, r *Router) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -44,7 +44,7 @@ func closeRouter(t *testing.T, r *Router) {
 // sameHits compares merged results byte-for-byte on everything placement
 // cannot change: identity, text and the exact score bits. Shard indices
 // legitimately differ between layouts.
-func sameHits(t *testing.T, label string, got, want []Hit) {
+func sameHits(t testing.TB, label string, got, want []Hit) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d hits, want %d", label, len(got), len(want))
