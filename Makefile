@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check check-full build test race race-hot stress vet fmt-check lint lint-tests loc bench-tables bench-e2e bench-compare
+.PHONY: check check-full build test test-portable race race-hot stress vet fmt-check lint lint-tests loc bench-tables bench-e2e bench-compare
 
 # check is the fast pre-commit loop: formatting, vet, build, tests, the
-# race detector on the hot parallel packages only, and the project linter.
-# Run it on every change.
-check: fmt-check vet build test race-hot lint
+# portable-kernel build, the race detector on the hot parallel packages
+# only, and the project linter. Run it on every change.
+check: fmt-check vet build test test-portable race-hot lint
 
 # check-full is the slow full sweep — the race detector over every
 # package plus everything in check and a double pass over the serving
@@ -39,18 +39,28 @@ lint-tests:
 		./internal/engine/... ./internal/shard/... ./internal/server/... ./internal/rank/...
 
 # loc prints non-test Go lines per package outside bench/, total last —
-# the number simplification rounds are judged by.
+# the number simplification rounds are judged by — and then the
+# hand-written assembly on a row of its own, outside that total.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' \
 		-not -path './.bench_build/*' -not -path '*/testdata/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+	@find . -name '*.s' -not -path './.bench_build/*' | xargs cat | wc -l | awk '{ printf "%7d assembly (*.s)\n", $$1 }'
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-portable keeps the build without internal/dense's AVX2 assembly
+# honest: the kernel packages' tests under -tags purego (the portable
+# loops are the whole kernel there, as on every non-amd64 target), and a
+# cross-architecture vet so no file assumes the assembly exists.
+test-portable:
+	$(GO) test -tags purego ./internal/dense/... ./internal/rank/...
+	GOARCH=arm64 $(GO) vet ./...
 
 race:
 	$(GO) test -race ./...

@@ -40,18 +40,30 @@ func (m *MatrixF32) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// DotF32 returns the float32 inner product of x and y. Four independent
-// accumulators break the floating-point add dependency chain, so the
-// screening scan runs at multiply-add throughput instead of add latency
-// — the reason the mirror pass beats the float64 scan by more than the
-// 2× bandwidth ratio. Any summation order stays inside the standard
-// |fl(x·y) − x·y| ≤ γ_n·‖x‖·‖y‖ bound the rescue threshold is built on.
+// DotF32 returns the float32 inner product of x and y, by the AVX2+FMA
+// kernel or dotF32Generic. Their summation orders, hence last bits, differ;
+// any order stays inside the |fl(x·y) − x·y| ≤ γ_n·‖x‖·‖y‖ bound the rescue
+// threshold is built on, and no float32 score ever reaches a result.
 //
 //lsilint:noalloc
 func DotF32(x, y []float32) float32 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("dense: DotF32 lens %d != %d", len(x), len(y)))
 	}
+	if !useAVX2 || len(x) == 0 {
+		return dotF32Generic(x, y)
+	}
+	var d float32
+	var id int32 // y is row 0 of a one-row matrix
+	dotF32RowsAVX2(&d, &x[0], &y[0], &id, 1, len(x))
+	return d
+}
+
+// dotF32Generic is the portable DotF32 kernel: eight accumulators, so
+// the loop runs at multiply-add throughput instead of add latency.
+//
+//lsilint:noalloc
+func dotF32Generic(x, y []float32) float32 {
 	y = y[:len(x)] // bounds-check elimination inside the unrolled loop
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	i := 0
@@ -70,6 +82,23 @@ func DotF32(x, y []float32) float32 {
 		t += x[i] * y[i]
 	}
 	return (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + t
+}
+
+// DotF32Rows sets dst[j] = DotF32(q, m.Row(ids[j])) for every j — the
+// float32 form of DotI8Rows, checked the same way.
+//
+//lsilint:noalloc
+func DotF32Rows(dst []float32, q []float32, m *MatrixF32, ids []int32) {
+	checkRows(len(dst), len(q), len(m.Data), m.Rows, m.Cols, ids)
+	if !useAVX2 || len(q) == 0 {
+		for j, id := range ids {
+			dst[j] = dotF32Generic(q, m.Data[int(id)*m.Cols:][:m.Cols])
+		}
+		return
+	}
+	for lo, step := 0, rowsChunkElems/len(q)+1; lo < len(ids); lo += step {
+		dotF32RowsAVX2(&dst[lo], &q[0], &m.Data[0], &ids[lo], min(step, len(ids)-lo), len(q))
+	}
 }
 
 // ConvertF32 rounds src element-wise to float32 into dst — the

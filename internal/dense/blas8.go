@@ -38,16 +38,28 @@ func (m *MatrixI8) Row(i int) []int8 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// DotI8 returns the int32 inner product of x and y. Unlike the float
-// kernels the result is exact for any accumulation order — each product
-// is at most 127² and len(x) ≤ MaxI8Dim keeps the sum inside int32 — so
-// the unroll is purely a throughput matter.
+// DotI8 returns the int32 inner product of x and y — exact in any
+// accumulation order (each product is at most 128² and len(x) ≤ MaxI8Dim
+// keeps the sum inside int32), so the AVX2 kernel and the portable loop
+// return the same bits and differ only in throughput.
 //
 //lsilint:noalloc
 func DotI8(x, y []int8) int32 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("dense: DotI8 lens %d != %d", len(x), len(y)))
 	}
+	if !useAVX2 || len(x) == 0 {
+		return dotI8Generic(x, y)
+	}
+	var d, id int32 // y is row 0 of a one-row matrix
+	dotI8RowsAVX2(&d, &x[0], &y[0], &id, 1, len(x))
+	return d
+}
+
+// dotI8Generic is the portable DotI8 kernel.
+//
+//lsilint:noalloc
+func dotI8Generic(x, y []int8) int32 {
 	y = y[:len(x)] // bounds-check elimination inside the unrolled loop
 	var s0, s1, s2, s3 int32
 	i := 0
@@ -61,6 +73,43 @@ func DotI8(x, y []int8) int32 {
 		s0 += int32(x[i]) * int32(y[i])
 	}
 	return (s0 + s1) + (s2 + s3)
+}
+
+// DotI8Rows sets dst[j] = DotI8(q, m.Row(ids[j])) — the int8 tier's
+// stage-1 kernel, one call per gathered id run. The assembly loop checks
+// nothing, so checkRows runs first: a bad id panics as Row does.
+//
+//lsilint:noalloc
+func DotI8Rows(dst []int32, q []int8, m *MatrixI8, ids []int32) {
+	checkRows(len(dst), len(q), len(m.Data), m.Rows, m.Cols, ids)
+	if !useAVX2 || len(q) == 0 {
+		for j, id := range ids {
+			dst[j] = dotI8Generic(q, m.Data[int(id)*m.Cols:][:m.Cols])
+		}
+		return
+	}
+	for lo, step := 0, rowsChunkElems/len(q)+1; lo < len(ids); lo += step {
+		dotI8RowsAVX2(&dst[lo], &q[0], &m.Data[0], &ids[lo], min(step, len(ids)-lo), len(q))
+	}
+}
+
+// rowsChunkElems is how many matrix elements one assembly call covers — a
+// few thousand rows, tens of µs: assembly cannot be preempted.
+const rowsChunkElems = 1 << 18
+
+// checkRows is the bounds check of the Dot*Rows kernels: one dst slot per
+// id, q as wide as a row, rows×cols elements of data, every id a row.
+//
+//lsilint:noalloc
+func checkRows(ndst, nq, ndata, rows, cols int, ids []int32) {
+	if ndst != len(ids) || nq != cols || rows < 0 || cols > 0 && rows > ndata/cols {
+		panic(fmt.Sprintf("dense: rows kernel: dst %d, ids %d, query %d, matrix %dx%d over %d", ndst, len(ids), nq, rows, cols, ndata))
+	}
+	for _, id := range ids {
+		if uint(id) >= uint(rows) {
+			panic(fmt.Sprintf("dense: row %d out of range %d", id, rows))
+		}
+	}
 }
 
 // QuantizeI8 writes the symmetric scalar quantization of src into dst

@@ -140,6 +140,20 @@ func hasNoallocDirective(decl *ast.FuncDecl) bool {
 	return false
 }
 
+// hasGoNoescape reports whether a function declaration's doc comment
+// group carries the compiler's //go:noescape pragma.
+func hasGoNoescape(decl *ast.FuncDecl) bool {
+	if decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		if c.Text == "//go:noescape" {
+			return true
+		}
+	}
+	return false
+}
+
 // guardDirective extracts //lsilint:guardedby <mutex> from a struct
 // field's doc or trailing comment. found reports the directive is
 // present; mu is empty when it is malformed (zero or several names).

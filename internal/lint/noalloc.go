@@ -29,6 +29,10 @@ import (
 //   - plain (non-address-taken) struct composite literals, which stay on
 //     the stack when they do not escape.
 //
+// A bodyless declaration (an assembly stub) has nothing to scan; its
+// annotation is taken on trust by noalloctrans, and this check requires
+// it to carry //go:noescape as well.
+//
 // The scanner itself (scanAllocs) is shared with noalloctrans, which
 // uses it to decide whether unannotated leaves are allocation-free.
 
@@ -44,7 +48,15 @@ func runNoAlloc(p *Pass) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasNoallocDirective(fd) {
+			if !ok || !hasNoallocDirective(fd) {
+				continue
+			}
+			if fd.Body == nil {
+				// Without //go:noescape the compiler assumes the assembly
+				// retains its pointer arguments: callers' buffers go to the heap.
+				if !hasGoNoescape(fd) {
+					p.Reportf(fd.Pos(), "bodyless noalloc function %s lacks //go:noescape: its pointer arguments escape in every caller", fd.Name.Name)
+				}
 				continue
 			}
 			scanAllocs(p.Info, fd, func(pos token.Pos, format string, args ...interface{}) {

@@ -228,3 +228,17 @@ func quantizeAlloc(v []float64, s float64) []int8 {
 	q = append(q, 0) // want noalloc
 	return q
 }
+
+// asmKernel mirrors dense's AVX2 stubs: a bodyless declaration backed by
+// assembly, trusted as allocation-free, with //go:noescape so callers'
+// buffers stay on their stacks.
+//
+//go:noescape
+//lsilint:noalloc
+func asmKernel(dst *int32, q *int8, n int)
+
+// asmKernelEscapes is the same stub without the pragma: every slice a
+// caller passes it would be heap-allocated.
+//
+//lsilint:noalloc
+func asmKernelEscapes(dst *int32, q *int8, n int) // want noalloc

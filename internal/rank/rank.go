@@ -207,12 +207,25 @@ func newSelector(k int) *selector {
 // after reports whether a ranks strictly after b — the heap's "less".
 func after(a, b Item) bool { return Less(b, a) }
 
-// offer runs once per candidate on every scoring hot path, so it must
-// not allocate: the heap slice is created with capacity k in newSelector
-// and append below can never grow it past that.
+// offer runs once per candidate on every scoring hot path. Its body is
+// only the common case of a long scan — the heap is full and the score is
+// below the worst kept one — so that it inlines into the scan loops; push
+// decides everything else, ties included.
 //
 //lsilint:noalloc
 func (s *selector) offer(it Item) {
+	if len(s.h) == s.k && it.Score < s.h[0].Score {
+		return
+	}
+	s.push(it)
+}
+
+// push is offer's slow path. It must not allocate: the heap slice is
+// created with capacity k in newSelector and the append below can never
+// grow it past that.
+//
+//lsilint:noalloc
+func (s *selector) push(it Item) {
 	if len(s.h) < s.k {
 		// Capacity k is pre-claimed in newSelector; this append only extends
 		// the length within it and never reallocates.

@@ -9,7 +9,7 @@ import (
 
 // Screened exact top-k: a cheap first tier of the normalized document
 // cache is scanned first — the float32 mirror (half the memory traffic,
-// unrolled float32 dot products) or, in front of it, the int8 tier of
+// vectorized float32 dot products) or, in front of it, the int8 tier of
 // screen8.go — and only rows whose screened score could — under a
 // provable rounding bound — still reach the running kth-best are rescored
 // with the float64 kernels. The final result is byte-identical to the
@@ -209,11 +209,16 @@ func (e *Engine) screenSlack(qn []float64, q32 []float32) float64 {
 	return ((rq+g32*n32q)*nv32 + g64*(1+1e-12)) * boundSlack
 }
 
-// scanScratch recycles the per-query gathered-candidate buffers (row id
-// and first-tier score of every scanned row), sized to the largest
+// scanScratch recycles everything a scan needs besides its result: the
+// prepared query and the gathered-candidate buffers (row id and
+// first-tier score of every scanned row), sized to the widest and largest
 // collection served, so steady-state scans allocate nothing proportional
-// to n.
+// to n or dim.
 type scanScratch struct {
+	// q is the prepared query (quantizeQuery); q32 and qq8 back its slices.
+	q   q8query
+	q32 []float32
+	qq8 []int8
 	ids []int32
 	// s32 holds float32 screened scores: of every gathered row when the
 	// float32 mirror is the first tier, of the promoted rows otherwise.
@@ -229,12 +234,16 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func getScanScratch(n int) *scanScratch {
+func getScanScratch(n, dim int) *scanScratch {
 	sc := scanScratchPool.Get().(*scanScratch)
 	if cap(sc.ids) < n {
 		sc.ids = make([]int32, n)
 		sc.s32 = make([]float32, n)
 		sc.d8 = make([]int32, n)
+	}
+	if cap(sc.q32) < dim {
+		sc.q32 = make([]float32, dim)
+		sc.qq8 = make([]int8, dim)
 	}
 	sc.ids = sc.ids[:n]
 	sc.s32 = sc.s32[:n]
@@ -274,12 +283,12 @@ func getScanScratch(n int) *scanScratch {
 // (screen8.go); stage 3 rescores the survivors in float64 and selects
 // under the usual total order.
 func (e *Engine) scan(qn []float64, k, nprobe int, skip Skip, fanOut bool) ([]Item, ScreenStats) {
-	q := e.quantizeQuery(qn)
 	st := ScreenStats{Screened: true}
 	n, base := e.docs.Rows, 0
 	var ubs []float64
 	var order []int
-	sc := getScanScratch(n)
+	sc := getScanScratch(n, len(qn))
+	q := e.quantizeQuery(sc, qn)
 	if e.ivf != nil {
 		base = e.ivf.rows
 		ubs, order = e.ivfCellOrder(qn, sc)
@@ -321,50 +330,47 @@ func (e *Engine) scan(qn []float64, k, nprobe int, skip Skip, fanOut bool) ([]It
 	return rsel.finish(), st
 }
 
-// gather runs the stage-1 kernel of the engine's first tier over rows
-// [lo, hi) and then the member list mem — callers pass a range or a list,
-// leaving the other empty — writing from scratch slot m on; it returns
-// the new fill count.
+// gather is stage 1 over rows [lo, hi) and then the member list mem —
+// callers pass a range or a list, leaving the other empty; a range is just
+// an id run. It compacts the live ids into the scratch from slot m on
+// (the only place skip is consulted), scores the whole run through the
+// engine's first tier in one kernel call and returns the new fill count.
 //
 //lsilint:noalloc
 func (e *Engine) gather(s *selector, sc *scanScratch, q *q8query, lo, hi int, mem []int32, m int, skip Skip) int {
-	if q.qq8 != nil {
-		return e.gather8(s, sc.ids, sc.d8, q, lo, hi, mem, m, skip)
-	}
-	return e.gather32(s, sc.ids, sc.s32, q, lo, hi, mem, m, skip)
-}
-
-// gather32 is the float32 stage-1 kernel: a float32 dot against each live
-// mirror row of [lo, hi) and of mem, the row id and raw score recorded at
-// slot m onward and the certified lower bound s32 − ε − slack fed through
-// the selector. The two loops differ only in where the row id comes from;
-// selecting it per row inside one loop measured ~6 % slower on the range.
-//
-//lsilint:noalloc
-func (e *Engine) gather32(s *selector, ids []int32, s32 []float32, q *q8query, lo, hi int, mem []int32, m int, skip Skip) int {
-	mir := e.mir
+	p := m
 	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
+		if !skip.Has(i) {
+			sc.ids[p] = int32(i)
+			p++
 		}
-		v := dense.DotF32(q.q32, mir.docs.Row(i))
-		ids[m] = int32(i)
-		s32[m] = v
-		m++
-		s.offer(Item{Doc: i, Score: float64(v) - mir.eps[i] - q.slack32})
 	}
 	for _, id := range mem {
-		i := int(id)
-		if skip.Has(i) {
-			continue
+		if !skip.Has(int(id)) {
+			sc.ids[p] = id
+			p++
 		}
-		v := dense.DotF32(q.q32, mir.docs.Row(i))
-		ids[m] = id
-		s32[m] = v
-		m++
-		s.offer(Item{Doc: i, Score: float64(v) - mir.eps[i] - q.slack32})
 	}
-	return m
+	if q.qq8 != nil {
+		e.gather8(s, sc.ids[m:p], sc.d8[m:p], q)
+	} else {
+		e.gather32(s, sc.ids[m:p], sc.s32[m:p], q)
+	}
+	return p
+}
+
+// gather32 is the float32 stage-1 kernel: a float32 dot against the
+// mirror row of every id, the raw score recorded beside it and the
+// certified lower bound s32 − ε − slack fed through the selector.
+//
+//lsilint:noalloc
+func (e *Engine) gather32(s *selector, ids []int32, s32 []float32, q *q8query) {
+	mir := e.mir
+	dense.DotF32Rows(s32, q.q32, mir.docs, ids)
+	for j, id := range ids {
+		i := int(id)
+		s.offer(Item{Doc: i, Score: float64(s32[j]) - mir.eps[i] - q.slack32})
+	}
 }
 
 // rescoreGathered is the last stage: over the m gathered (or promoted)

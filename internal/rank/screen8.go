@@ -64,17 +64,18 @@ type q8query struct {
 	slack32 float64
 }
 
-// quantizeQuery prepares a normalized query for scan: the float32 mirror
-// conversion and bracket slack, and the int8 quantization when the engine
-// has that tier.
-func (e *Engine) quantizeQuery(qn []float64) *q8query {
-	q := &q8query{q32: make([]float32, len(qn))}
+// quantizeQuery prepares a normalized query for scan in sc's buffers: the
+// float32 mirror conversion and bracket slack, and the int8 quantization
+// when the engine has that tier.
+func (e *Engine) quantizeQuery(sc *scanScratch, qn []float64) *q8query {
+	q := &sc.q
+	*q = q8query{q32: sc.q32[:len(qn)]}
 	dense.ConvertF32(q.q32, qn)
 	q.slack32 = e.screenSlack(qn, q.q32)
 	if e.mir.q8 == nil {
 		return q
 	}
-	q.qq8 = make([]int8, len(qn))
+	q.qq8 = sc.qq8[:len(qn)]
 	q.sq = dense.QuantizeI8(q.qq8, qn)
 	rq8 := dense.ResidualI8(qn, q.qq8, q.sq) * boundSlack
 	n1 := float64(len(qn) + 1)
@@ -86,45 +87,26 @@ func (e *Engine) quantizeQuery(qn []float64) *q8query {
 }
 
 // gather8 is gather32 against the int8 tier: an exact integer dot against
-// each live quantized row of [lo, hi) and of mem, the row id and raw dot
-// recorded at slot m onward and the certified coarse lower bound fed
-// through the selector. Returns the new fill count.
+// the quantized row of every id, the raw dot recorded beside it and the
+// certified coarse lower bound fed through the selector.
 //
 //lsilint:noalloc
-func (e *Engine) gather8(s *selector, ids []int32, d8 []int32, q *q8query, lo, hi int, mem []int32, m int, skip Skip) int {
+func (e *Engine) gather8(s *selector, ids []int32, d8 []int32, q *q8query) {
 	mir := e.mir
-	for i := lo; i < hi; i++ {
-		if skip.Has(i) {
-			continue
-		}
-		d := dense.DotI8(q.qq8, mir.q8.Row(i))
-		ids[m] = int32(i)
-		d8[m] = d
-		m++
-		c := mir.scale[i] * q.sq * float64(d)
-		s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
-	}
-	for _, id := range mem {
+	dense.DotI8Rows(d8, q.qq8, mir.q8, ids)
+	for j, id := range ids {
 		i := int(id)
-		if skip.Has(i) {
-			continue
-		}
-		d := dense.DotI8(q.qq8, mir.q8.Row(i))
-		ids[m] = id
-		d8[m] = d
-		m++
-		c := mir.scale[i] * q.sq * float64(d)
+		c := mir.scale[i] * q.sq * float64(d8[j])
 		s.offer(Item{Doc: i, Score: c - mir.eps8[i]*q.epsMul - q.slack8})
 	}
-	return m
 }
 
 // promoteGathered8 is stage 2: it compacts the m gathered rows in place,
 // keeping (at position p ≤ j) exactly those whose coarse upper bound
-// clears low8, scoring the keepers through the float32 mirror and
-// feeding their certified float32 lower bounds through the selector.
-// Returns the promoted count; afterward ids[:p]/s32[:p] are exactly what
-// rescoreGathered expects.
+// clears low8, and runs the float32 stage-1 kernel over the keepers, which
+// scores them through the mirror and feeds their certified float32 lower
+// bounds through the selector. Returns the promoted count; afterward
+// ids[:p]/s32[:p] are exactly what rescoreGathered expects.
 //
 //lsilint:noalloc
 func (e *Engine) promoteGathered8(s *selector, ids []int32, d8 []int32, s32 []float32, q *q8query, low8 float64, m int) int {
@@ -136,11 +118,9 @@ func (e *Engine) promoteGathered8(s *selector, ids []int32, d8 []int32, s32 []fl
 		if c+mir.eps8[i]*q.epsMul+q.slack8 < low8 {
 			continue
 		}
-		sc := dense.DotF32(q.q32, mir.docs.Row(i))
 		ids[p] = ids[j]
-		s32[p] = sc
 		p++
-		s.offer(Item{Doc: i, Score: float64(sc) - mir.eps[i] - q.slack32})
 	}
+	e.gather32(s, ids[:p], s32[:p], q)
 	return p
 }

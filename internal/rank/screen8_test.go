@@ -87,7 +87,7 @@ func TestInt8BracketDominates(t *testing.T) {
 				q[i] = rng.NormFloat64()
 			}
 			qn := normalizeCopy(q)
-			q8 := e.quantizeQuery(qn)
+			q8 := e.quantizeQuery(getScanScratch(n, dim), qn)
 			for i := 0; i < e.docs.Rows; i++ {
 				d := dense.DotI8(q8.qq8, e.mir.q8.Row(i))
 				c := e.mir.scale[i] * q8.sq * float64(d)
