@@ -88,12 +88,15 @@ stress:
 #          {flat, ivf} × {single, batch of 16} at 12 000×64 and 50 000×100 —
 #          which first tier is fastest, and whether the span fan-out of the
 #          un-indexed range still pays (flat single at -cpu 2 vs 1).
+#          BenchmarkIVFMaintain: what a compaction spends on its cluster
+#          index, k-means from scratch vs carrying and re-certifying the
+#          old one, at the same two sizes.
 #   shard  BenchmarkRouterShards: latency, rows/query and cells/query at
 #          1/2/4 shards over the topical corpus, parity-gated.
 #   core   BenchmarkCompactionStrategy: O'Brien vs Golub–Kahan update time
 #          with overlap@10, at two corpus sizes.
 bench-tables:
-	$(GO) test -run '^$$' -bench 'TopKTable|RouterShards|CompactionStrategy' -cpu 1,2 -count 6 \
+	$(GO) test -run '^$$' -bench 'TopKTable|IVFMaintain|RouterShards|CompactionStrategy' -cpu 1,2 -count 6 \
 		./internal/rank ./internal/shard ./internal/core
 
 # bench-e2e runs the repository's benchmark (bench/README.md) — the four

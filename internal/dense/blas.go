@@ -407,7 +407,16 @@ func Normalize(x []float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	ScaleVec(1/n, x)
+	if inv := 1 / n; !math.IsInf(inv, 0) {
+		ScaleVec(inv, x)
+		return n
+	}
+	// The norm is so far subnormal that 1/n overflows. Scaling by a power
+	// of two is exact here, so lift x into the normal range first and
+	// normalize that; dividing by n itself would leave the row off unit
+	// length, since n keeps only a few significant bits.
+	ScaleVec(0x1p600, x)
+	ScaleVec(1/Norm2(x), x)
 	return n
 }
 

@@ -214,6 +214,23 @@ func TestNormalize(t *testing.T) {
 	if Normalize(z) != 0 {
 		t.Fatal("zero vector should return 0")
 	}
+	// A norm so far subnormal that 1/‖x‖ overflows must still normalize to
+	// a finite unit vector.
+	for _, x := range [][]float64{{5e-324}, {5e-324, 5e-324, 0, -5e-324}, {1e-320, -3e-322, 5e-324}} {
+		orig := append([]float64(nil), x...)
+		n := Normalize(x)
+		if n != Norm2(orig) || n == 0 {
+			t.Fatalf("Normalize(%v) returned %v, want Norm2 %v", orig, n, Norm2(orig))
+		}
+		if nx := Norm2(x); math.Abs(nx-1) > 1e-15 {
+			t.Fatalf("Normalize(%v) = %v with norm %v", orig, x, nx)
+		}
+		for i, v := range x {
+			if (v < 0) != (orig[i] < 0) || (v == 0) != (orig[i] == 0) {
+				t.Fatalf("Normalize(%v) = %v changed a sign or a zero", orig, x)
+			}
+		}
+	}
 }
 
 func TestScaleColsMatchesDiagMul(t *testing.T) {

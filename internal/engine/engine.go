@@ -94,9 +94,11 @@ type Config struct {
 	// approximate mode. 0 keeps queries exact: cells are pruned only when
 	// the certified bound proves they cannot reach the top-k.
 	IVFNProbe int
-	// IVFRebuildFraction is the unclustered-tail fraction (tail rows over
-	// total rows) above which a background index rebuild is triggered
-	// (default 0.25; negative disables size-triggered rebuilds).
+	// IVFRebuildFraction is the share of rows k-means has not seen — the
+	// unclustered tail plus rows placed by nearest centroid when
+	// compactions carried the index — above which a background k-means
+	// rebuild is triggered (default 0.25; negative disables size-triggered
+	// rebuilds).
 	IVFRebuildFraction float64
 	// IVFMinRows is the smallest collection the engine bothers indexing
 	// (default rank.DefaultIVFMinRows).
@@ -163,11 +165,17 @@ type Stats struct {
 	IVFClusters int `json:"ivf_clusters"`
 	// IVFUnclusteredTail is how many rows sit past the indexed prefix —
 	// appended since the last (re)build and always scanned. Grows with
-	// fold-ins, resets when a rebuild lands.
+	// fold-ins, resets when a k-means rebuild or a compaction lands.
 	IVFUnclusteredTail int `json:"ivf_unclustered_tail"`
-	// IVFRebuilds counts cluster-index builds that landed (including the
-	// initial one).
+	// IVFRebuilds counts k-means cluster-index builds that landed
+	// (including the initial one); carrying the index across a compaction
+	// is not a rebuild.
 	IVFRebuilds int64 `json:"ivf_rebuilds"`
+	// IVFPlacedRows counts rows placed in a cell by nearest centroid —
+	// when a compaction carried the index over — since the last k-means
+	// build. With IVFUnclusteredTail it is what k-means has not seen, and
+	// their sum past IVFRebuildFraction·n schedules a rebuild.
+	IVFPlacedRows int64 `json:"ivf_placed_rows"`
 	// Cumulative query-path counters since the engine started. Queries
 	// counts ranked queries (batch rows count individually); the other
 	// three accumulate the per-query ScreenStats, so e.g.
@@ -194,6 +202,7 @@ func (st *Stats) Add(o Stats) {
 	st.IVFClusters += o.IVFClusters
 	st.IVFUnclusteredTail += o.IVFUnclusteredTail
 	st.IVFRebuilds += o.IVFRebuilds
+	st.IVFPlacedRows += o.IVFPlacedRows
 	st.Queries += o.Queries
 	st.RescoreCandidates += o.RescoreCandidates
 	st.ClustersScanned += o.ClustersScanned
@@ -286,7 +295,10 @@ type Engine struct {
 
 	ivfRebuilds atomic.Int64
 	ivfBuilding atomic.Bool
-	counters    queryCounters
+	// ivfPlaced counts rows placed by nearest centroid since the last
+	// k-means build landed (Stats.IVFPlacedRows); written on the updater.
+	ivfPlaced atomic.Int64
+	counters  queryCounters
 
 	// Updater-goroutine-owned state (no locking: single owner).
 	base    *core.Model       // last pure-SVD model; nil disables compaction
@@ -434,6 +446,7 @@ func (e *Engine) Stats() Stats {
 		Screening:         s.Eng.Screening(),
 		MirrorMaxEps:      s.Eng.MirrorMaxEps(),
 		IVFRebuilds:       e.ivfRebuilds.Load(),
+		IVFPlacedRows:     e.ivfPlaced.Load(),
 		Queries:           e.counters.queries.Load(),
 		RescoreCandidates: e.counters.rescored.Load(),
 		ClustersScanned:   e.counters.clustersScanned.Load(),
@@ -685,9 +698,10 @@ func (e *Engine) applyBatch(batch []submission) {
 	e.maybeRebuildIVF()
 }
 
-// maybeRebuildIVF launches a background cluster-index rebuild when the
-// unclustered tail — rows appended since the last (re)build, which every
-// query must scan — has grown past the configured fraction of the
+// maybeRebuildIVF launches a background k-means rebuild when the rows
+// k-means has not seen — the unclustered tail, appended since the last
+// build and scanned by every query, plus the rows compactions placed by
+// nearest centroid — have grown past the configured fraction of the
 // collection. At most one build runs at a time; it reads only rows below
 // the captured engine's own length, which are immutable, so fold-ins and
 // reads proceed untouched while it runs. A stale index is a performance
@@ -712,8 +726,8 @@ func (e *Engine) maybeRebuildIVF() {
 		return
 	}
 	_, clusteredRows, ok := eng.IVF()
-	tail := n - clusteredRows
-	if ok && float64(tail) <= e.cfg.IVFRebuildFraction*float64(n) {
+	unseen := n - clusteredRows + int(e.ivfPlaced.Load())
+	if ok && float64(unseen) <= e.cfg.IVFRebuildFraction*float64(n) {
 		return
 	}
 	cfg := e.ivfConfig()
@@ -750,6 +764,9 @@ func (e *Engine) finishIVFBuild(res ivfResult) {
 	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: cur.Model, Eng: eng, Docs: cur.Docs,
 		Dead: cur.Dead, counters: &e.counters})
 	e.ivfRebuilds.Add(1)
+	// No compaction landed while the build ran (same epoch), so nothing
+	// was placed since it read its rows.
+	e.ivfPlaced.Store(0)
 	// Fold-ins that landed while the build ran may already exceed the
 	// tail threshold again.
 	e.maybeRebuildIVF()
@@ -953,11 +970,27 @@ func (e *Engine) finishCompaction(model *core.Model, count int, downdated bool) 
 	}
 	// Compaction rotated every document coordinate, so the scoring cache
 	// is rebuilt rather than extended — and the coordinate epoch advances,
-	// invalidating any in-flight cluster-index build against the old
-	// coordinates. The fresh cache starts unindexed; the rebuild trigger
-	// below sees a 100% unclustered tail and starts a background build.
+	// invalidating any in-flight k-means build against the old coordinates.
+	// Which rows share a cell hardly moves under the rotation, so the
+	// cluster index is carried through the remap and re-certified rather
+	// than re-clustered; the old unclustered tail is placed by nearest
+	// centroid and counts toward the next k-means.
 	e.coordsEpoch++
-	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: serving, Eng: e.newRankEngine(serving.V), Docs: docs,
+	eng := e.newRankEngine(serving.V)
+	if _, clustered, ok := cur.Eng.IVF(); ok && !e.cfg.DisableIVF {
+		eng = eng.CarryIVF(cur.Eng, newRow, e.cfg.IVFMinRows)
+		if _, _, carried := eng.IVF(); carried {
+			// Every row the old clustered prefix does not reach was placed.
+			placed := len(docs)
+			for _, nr := range newRow[:clustered] {
+				if nr >= 0 {
+					placed--
+				}
+			}
+			e.ivfPlaced.Add(int64(placed))
+		}
+	}
+	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: serving, Eng: eng, Docs: docs,
 		Dead: deadSkip(len(docs), e.deadRows), counters: &e.counters})
 	e.base = model
 	e.pending = leftover

@@ -12,10 +12,8 @@ import (
 // brackets have to survive: exact duplicates and last-ulp near-copies of a
 // few base rows (ties and near-ties wherever the kth score falls), zero
 // rows, one huge-norm row, tiny-norm rows, and coordinates that are
-// denormal in float64 or turn denormal or zero in the float32 mirror.
-// Every nonzero row keeps a normal float64 norm: a row whose norm is itself
-// denormal is outside the engine's contract (dense.Normalize's 1/‖v‖
-// overflows and the cached row becomes ±Inf, for exact engines too).
+// denormal in float64 or turn denormal or zero in the float32 mirror —
+// whole rows of them included, whose float64 norm is itself denormal.
 func adversarialMatrix(rng *rand.Rand, n, dim int) *dense.Matrix {
 	docs := randomMatrix(rng, n, dim)
 	bases := 1 + rng.Intn(4)
@@ -34,11 +32,8 @@ func adversarialMatrix(rng *rand.Rand, n, dim int) *dense.Matrix {
 			for j := range row {
 				row[j] *= 1e-150
 			}
-		case 7: // denormal and mirror-denormal coordinates beside one ordinary one
-			for j, keep := 0, rng.Intn(dim); j < dim; j++ {
-				if j == keep {
-					continue
-				}
+		case 7: // denormal and mirror-denormal coordinates
+			for j := 0; j < dim; j++ {
 				switch rng.Intn(4) {
 				case 0:
 					row[j] = 5e-324
@@ -47,6 +42,10 @@ func adversarialMatrix(rng *rand.Rand, n, dim int) *dense.Matrix {
 				case 2:
 					row[j] *= 1e-46
 				}
+			}
+		case 8: // denormal coordinates only: the row's norm is denormal too
+			for j := range row {
+				row[j] = 5e-324 * float64(rng.Intn(5)-2)
 			}
 		}
 	}

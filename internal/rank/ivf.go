@@ -35,6 +35,9 @@ import (
 // approximate mode caps the sweep at nprobe cells, trading recall for
 // latency; the certified threshold still applies within the scanned
 // subset, so approximate results are the exact top-k of the probed rows.
+// A compaction carries the partition over instead of re-clustering
+// (CarryIVF): the bound needs only certified centroids and radii for
+// whatever partition is at hand, never a k-means one.
 
 // IVFConfig parameterizes BuildIVF/BuildIVFIndex. The zero value gets
 // production defaults: √n clusters, exact search, a fixed seed, and the
@@ -168,6 +171,104 @@ func (e *Engine) BuildIVFIndex(cfg IVFConfig) *IVFIndex {
 	cents, radius := certifyClusters(e.docs, n, members)
 	return &IVFIndex{rows: n, dim: e.docs.Cols, nprobe: nprobe,
 		cents: cents, radius: radius, members: members}
+}
+
+// CarryIVF returns the receiver with from's cluster index carried across
+// a compaction instead of re-clustered. newRow maps each of from's rows to
+// its row in the receiver, or −1 for a row the compaction resolved. Each
+// cell keeps its surviving members; receiver rows no carried member
+// reaches (from's unclustered tail, remapped) are placed in the cell whose
+// float64 centroid — certified from the carried members in the receiver's
+// coordinates — has the largest dot product with them, the lowest cell id
+// on ties. Every cell is then certified against the receiver's float64
+// rows, so the bound is exact for whatever partition results: carrying
+// costs only tightness, never correctness. The probe budget carries over.
+// The receiver comes back unchanged when from has no index, the receiver
+// is exact-only, or it is below the minRows floor (0 = DefaultIVFMinRows).
+func (e *Engine) CarryIVF(from *Engine, newRow []int, minRows int) *Engine {
+	old := from.ivf
+	if minRows <= 0 {
+		minRows = DefaultIVFMinRows
+	}
+	n := e.docs.Rows
+	if old == nil || e.mir == nil || n == 0 || n < minRows {
+		return e
+	}
+	if len(newRow) != from.docs.Rows || old.dim != e.docs.Cols {
+		panic(fmt.Sprintf("rank: CarryIVF remap has %d rows for %d, index dim %d for %d",
+			len(newRow), from.docs.Rows, old.dim, e.docs.Cols))
+	}
+	cell := make([]int32, n)
+	for i := range cell {
+		cell[i] = -1
+	}
+	for c, mem := range old.members {
+		for _, i := range mem {
+			if r := newRow[i]; r >= 0 {
+				if r >= n || cell[r] >= 0 {
+					panic(fmt.Sprintf("rank: CarryIVF maps row %d to %d, outside [0, %d) or taken", i, r, n))
+				}
+				cell[r] = int32(c)
+			}
+		}
+	}
+	var todo []int
+	for r, c := range cell {
+		if c < 0 {
+			todo = append(todo, r)
+		}
+	}
+	members := membersOf(cell, len(old.members))
+	if len(todo) > 0 {
+		// Centroids of the carried members in the new coordinates place the
+		// rest; the old centroids live in the old coordinates.
+		cents, _ := certifyClusters(e.docs, n, members)
+		parallelRange(len(todo), len(todo)*cents.Rows*e.docs.Cols >= scoreParallelCutoff, func(lo, hi int) {
+			for _, r := range todo[lo:hi] {
+				row := e.docs.Row(r)
+				best, bestDot := 0, dense.Dot(row, cents.Row(0))
+				for c := 1; c < cents.Rows; c++ {
+					if d := dense.Dot(row, cents.Row(c)); d > bestDot {
+						best, bestDot = c, d
+					}
+				}
+				cell[r] = int32(best)
+			}
+		})
+		members = membersOf(cell, len(old.members))
+	}
+	cents, radius := certifyClusters(e.docs, n, members)
+	ne := *e
+	ne.ivf = &IVFIndex{rows: n, dim: e.docs.Cols, nprobe: old.nprobe,
+		cents: cents, radius: radius, members: members}
+	return &ne
+}
+
+// membersOf turns a per-row cell assignment into per-cell member lists in
+// ascending row order, backed by one allocation; rows assigned −1 are
+// left out.
+func membersOf(cell []int32, nc int) [][]int32 {
+	counts := make([]int, nc)
+	total := 0
+	for _, c := range cell {
+		if c >= 0 {
+			counts[c]++
+			total++
+		}
+	}
+	backing := make([]int32, total)
+	members := make([][]int32, nc)
+	off := 0
+	for c := range members {
+		members[c] = backing[off : off : off+counts[c]]
+		off += counts[c]
+	}
+	for i, c := range cell {
+		if c >= 0 {
+			members[c] = append(members[c], int32(i))
+		}
+	}
+	return members
 }
 
 // WithIVFIndex returns an engine view with idx attached, sharing every
@@ -313,7 +414,7 @@ func kmeansMembers(mir32 *dense.MatrixF32, n, nc int, seed uint64) [][]int32 {
 	}
 
 	// Full assignment pass over every row, then a counting sort into
-	// per-cell member lists backed by one allocation.
+	// per-cell member lists.
 	full := make([]int32, n)
 	fullBlock := block
 	if n < train.Rows || train.Rows < minInt(n, ivfAssignBlock) {
@@ -321,23 +422,7 @@ func kmeansMembers(mir32 *dense.MatrixF32, n, nc int, seed uint64) [][]int32 {
 	}
 	assignRowsF32(&dense.MatrixF32{Rows: n, Cols: dim, Data: mir32.Data[:n*dim]},
 		cents, adj, full, fullBlock)
-	for c := range counts {
-		counts[c] = 0
-	}
-	for _, c := range full {
-		counts[c]++
-	}
-	backing := make([]int32, n)
-	members := make([][]int32, nc)
-	off := 0
-	for c := 0; c < nc; c++ {
-		members[c] = backing[off : off : off+counts[c]]
-		off += counts[c]
-	}
-	for i, c := range full {
-		members[c] = append(members[c], int32(i))
-	}
-	return members
+	return membersOf(full, nc)
 }
 
 // seedMinDist folds the squared distance to a new centroid into the

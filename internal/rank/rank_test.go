@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -183,6 +184,56 @@ func TestEngineExtend(t *testing.T) {
 		q[i] = rng.NormFloat64()
 	}
 	if !reflect.DeepEqual(ext.Scores(q), full.Scores(q)) {
+		t.Fatal("extended engine scores differ from a fresh build")
+	}
+}
+
+// TestEngineExtendDenormalNormRows folds in rows whose norm is itself
+// subnormal — [5e-324, …] — on every tier: each cached row comes out a
+// finite unit vector, and ranking stays byte-identical to the exact
+// engine with the folded rows scored like their normal-range directions.
+func TestEngineExtendDenormalNormRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const dim = 6
+	base := randomMatrix(rng, 600, dim)
+	tiny := dense.NewFromRows([][]float64{
+		{5e-324, 0, 0, 0, 0, 0},
+		{5e-324, -5e-324, 0, 5e-324, 0, 0},
+		{0, 1e-320, 0, 0, -3e-322, 5e-324},
+	})
+	all := dense.New(base.Rows+tiny.Rows, dim)
+	copy(all.Data, base.Data)
+	copy(all.Data[len(base.Data):], tiny.Data)
+	exact := NewEngineExact(base).Extend(tiny)
+	for name, e := range map[string]*Engine{
+		"exact": exact,
+		"int8":  NewEngine(base).Extend(tiny),
+		"f32":   newEngineF32(base).Extend(tiny),
+		"ivf":   ivfEngine(base, IVFConfig{Clusters: 20}).Extend(tiny),
+	} {
+		for i := base.Rows; i < e.NumDocs(); i++ {
+			if n := dense.Norm2(e.docs.Row(i)); math.IsNaN(n) || math.Abs(n-1) > 1e-15 {
+				t.Fatalf("%s: folded row %d cached as %v (norm %v)", name, i, e.docs.Row(i), n)
+			}
+		}
+		for qi := 0; qi < tiny.Rows+4; qi++ {
+			q := randomMatrix(rng, 1, dim).Row(0)
+			if qi < tiny.Rows {
+				copy(q, tiny.Row(qi))
+				dense.ScaleVec(0x1p1000, q) // the row's direction at ordinary magnitude
+			}
+			for _, k := range []int{1, 5, 40} {
+				got, want := e.TopK(q, k), exact.TopK(q, k)
+				if !itemsBitEqual(got, want) {
+					t.Fatalf("%s query %d k=%d: %v, exact %v", name, qi, k, got, want)
+				}
+				if qi < tiny.Rows && (got[0].Doc != base.Rows+qi || math.Abs(got[0].Score-1) > 1e-15) {
+					t.Fatalf("%s: query along folded row %d ranks %v first", name, base.Rows+qi, got[0])
+				}
+			}
+		}
+	}
+	if !reflect.DeepEqual(exact.Scores(all.Row(0)), NewEngineExact(all).Scores(all.Row(0))) {
 		t.Fatal("extended engine scores differ from a fresh build")
 	}
 }

@@ -116,3 +116,49 @@ func BenchmarkScanDotF32(b *testing.B) {
 		benchSink32 = s
 	}
 }
+
+// BenchmarkIVFMaintain times what a compaction spends on the cluster
+// index of the engine it publishes: kmeans re-clusters the compacted rows
+// from scratch (BuildIVF), carry maps the old index through the compaction
+// remap and re-certifies it (CarryIVF). The source engine indexes 90 % of
+// its rows and carries the last 10 % as an unclustered tail; the
+// compaction drops every 50th row and moves the rest by a signed column
+// permutation plus noise.
+func BenchmarkIVFMaintain(b *testing.B) {
+	for _, size := range []struct{ rows, dim int }{{12000, 64}, {benchDocs, benchDim}} {
+		var src, dst *Engine
+		var newRow []int
+		setup := func() {
+			if src != nil {
+				return
+			}
+			rng := rand.New(rand.NewSource(43))
+			raw := randomMatrix(rng, size.rows, size.dim)
+			head := size.rows * 9 / 10
+			src = NewEngine(raw.Slice(0, head, 0, size.dim)).BuildIVF(IVFConfig{}).
+				Extend(raw.Slice(head, size.rows, 0, size.dim))
+			var moved *dense.Matrix
+			moved, newRow = compactedCopy(rng, raw, func(i int) bool { return i%50 == 0 }, 0)
+			dst = NewEngine(moved)
+		}
+		prefix := fmt.Sprintf("%dx%d/", size.rows, size.dim)
+		b.Run(prefix+"kmeans", func(b *testing.B) {
+			setup()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst.BuildIVF(IVFConfig{}) == dst {
+					b.Fatal("no index built")
+				}
+			}
+		})
+		b.Run(prefix+"carry", func(b *testing.B) {
+			setup()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst.CarryIVF(src, newRow, 0) == dst {
+					b.Fatal("no index carried")
+				}
+			}
+		})
+	}
+}

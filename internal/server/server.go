@@ -505,8 +505,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"lsi_screening_enabled", "1 when the float32 screening mirror serves queries on every shard, 0 on the exact-only path.", "gauge", boolGauge(st.Screening)},
 		{"lsi_mirror_max_eps", "Worst per-row quantization residual of the float32 screening mirror across shards.", "gauge", st.MirrorMaxEps},
 		{"lsi_ivf_clusters", "Cells in the serving cluster indexes, summed over shards (0 when unindexed).", "gauge", st.IVFClusters},
-		{"lsi_ivf_unclustered_tail", "Rows appended since the last cluster-index build, summed over shards; always scanned.", "gauge", st.IVFUnclusteredTail},
-		{"lsi_ivf_rebuilds_total", "Cluster-index builds that have landed, summed over shards.", "counter", st.IVFRebuilds},
+		{"lsi_ivf_unclustered_tail", "Rows past the indexed prefix (appended since the last index build or compaction), summed over shards; always scanned.", "gauge", st.IVFUnclusteredTail},
+		{"lsi_ivf_placed_rows", "Rows compactions placed in a cell by nearest centroid since the last k-means build, summed over shards; with the tail, what drives the next rebuild.", "gauge", st.IVFPlacedRows},
+		{"lsi_ivf_rebuilds_total", "K-means cluster-index builds that have landed, summed over shards.", "counter", st.IVFRebuilds},
 		{"lsi_queries_total", "Ranked queries served (batch rows counted individually), summed over shards.", "counter", st.Queries},
 		{"lsi_rescore_candidates_total", "Rows rescored in float64 after certified screening, summed over queries and shards.", "counter", st.RescoreCandidates},
 		{"lsi_ivf_clusters_scanned_total", "IVF cells visited before the certified bound or probe cap stopped the scan, summed over queries and shards.", "counter", st.ClustersScanned},

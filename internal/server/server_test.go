@@ -692,3 +692,43 @@ func TestConcurrentSearchAndFold(t *testing.T) {
 	wg.Wait()
 	<-done
 }
+
+// TestSearchServesDenormalNormRow: a served document whose LSI
+// coordinates have a subnormal norm — [5e-324, …] — is cached as a
+// finite unit row, so /search stays valid JSON with finite cosines on
+// every shard layout instead of failing to encode ±Inf.
+func TestSearchServesDenormalNormRow(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		coll := corpus.MED()
+		model, err := core.BuildCollection(coll, core.Config{K: 2, Method: core.MethodDense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(model.V.Row(4), []float64{5e-324, 5e-324})
+		s, err := NewWithOptions(coll, model, Options{Shards: shards,
+			Engine: engine.Config{BatchTick: time.Millisecond}, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := get(t, s, fmt.Sprintf("/search?q=age+blood+abnormalities&n=%d", coll.Size()))
+		var results []SearchResult
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &results) != nil || len(results) != coll.Size() {
+			t.Fatalf("shards=%d: status %d body %s", shards, rec.Code, rec.Body)
+		}
+		found := false
+		for _, r := range results {
+			if !(r.Cosine >= -1-1e-12 && r.Cosine <= 1+1e-12) {
+				t.Fatalf("shards=%d: %s scores %v", shards, r.ID, r.Cosine)
+			}
+			found = found || r.ID == coll.Docs[4].ID
+		}
+		if !found {
+			t.Fatalf("shards=%d: the denormal row %s is missing from a full ranking", shards, coll.Docs[4].ID)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := s.Close(ctx); err != nil {
+			t.Error(err)
+		}
+		cancel()
+	}
+}

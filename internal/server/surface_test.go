@@ -27,15 +27,15 @@ func keySet(m map[string]any) []string {
 func TestStatsKeySet(t *testing.T) {
 	perShard := []string{
 		"clusters_scanned", "compactions", "documents", "folded_documents",
-		"generation", "ivf_clusters", "ivf_rebuilds", "ivf_unclustered_tail",
-		"mirror_max_eps", "queries", "queue_depth", "rescore_candidates",
+		"generation", "ivf_clusters", "ivf_placed_rows", "ivf_rebuilds",
+		"ivf_unclustered_tail", "mirror_max_eps", "queries", "queue_depth", "rescore_candidates",
 		"scanned_rows", "screening", "shard", "tombstones",
 	}
 	top := []string{
 		"clusters_scanned", "compacting", "compactions", "documents",
 		"factors", "folded_documents", "generation", "generations",
-		"ivf_clusters", "ivf_rebuilds", "ivf_unclustered_tail",
-		"mirror_max_eps", "orthogonality_loss", "per_shard", "queries",
+		"ivf_clusters", "ivf_placed_rows", "ivf_rebuilds",
+		"ivf_unclustered_tail", "mirror_max_eps", "orthogonality_loss", "per_shard", "queries",
 		"queue_depth", "rescore_candidates", "scanned_rows", "screening",
 		"shards", "sigma1", "terms", "tombstones",
 	}
