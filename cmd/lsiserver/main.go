@@ -79,7 +79,7 @@ func main() {
 	nprobe := flag.Int("nprobe", 0,
 		"approximate mode: max IVF cells scanned per query; 0 keeps queries exact (certified pruning only)")
 	ivfRebuildFrac := flag.Float64("ivf-rebuild-frac", 0.25,
-		"unclustered-tail fraction triggering a background cluster-index rebuild; negative disables size-triggered rebuilds")
+		"rows k-means has not seen (tail plus placed), as a share of n, triggering a background cluster-index rebuild; negative disables size-triggered rebuilds")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline; 0 disables")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for draining queued fold-ins")
 	loadModel := flag.String("load-model", "",

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/dense"
@@ -69,6 +70,13 @@ type Model struct {
 	U *dense.Matrix
 	S []float64
 	V *dense.Matrix
+	// vClaim is the append-chain claim token of V's backing allocation
+	// (see dense.ClaimAppend), valid only while V is vChained — the matrix
+	// it was issued with. FoldInDocs appends into V's spare capacity when
+	// it wins the token and copies with headroom otherwise; a model built
+	// any other way has none, so its first fold-in copies.
+	vClaim   *atomic.Int64
+	vChained *dense.Matrix
 
 	Scheme weight.Scheme
 	// global holds G(i) for the original vocabulary rows; folded-in terms
@@ -216,13 +224,20 @@ func (m *Model) Clone() *Model {
 }
 
 // SharedClone returns a copy-on-write clone for snapshot publication: the
-// large factor matrices U and V are shared with the receiver while the
-// small per-model slices (S, global) are copied, so cloning costs O(k + m)
-// instead of O((m+n)·k). The clone is safe to mutate concurrently with
-// readers of the original because every mutating method replaces factors
-// wholesale rather than writing through them: fold-in builds a new V with
-// AugmentRows, and the SVD-updating phases multiply into freshly allocated
-// matrices (the in-place sign convention runs on those fresh factors only).
+// factor matrices U and V and the global-weight table are shared with the
+// receiver and only S is copied, so cloning costs O(k) instead of
+// O((m+n)·k). The clone is safe to mutate concurrently with readers of
+// the original because no mutating method writes below the length any
+// model holds:
+//
+//   - FoldInDocs appends V's new rows past the receiver's length, into
+//     spare capacity it has claimed along the chain of clones (V's claim
+//     token travels with the clone; a sibling that loses the claim copies),
+//     so a fold-in publishes in O(batch) rather than O(n·k);
+//   - the global table is shared with its capacity clipped to its length,
+//     so the appends of FoldInTerms and UpdateTerms reallocate;
+//   - the SVD-updating phases multiply into freshly allocated matrices
+//     (the in-place sign convention runs on those fresh factors only).
 //
 // Contract: at most one goroutine may mutate any given clone, and a model
 // that has been SharedClone'd must itself no longer be mutated — the
@@ -234,12 +249,18 @@ func (m *Model) SharedClone() *Model {
 		U:        m.U,
 		S:        append([]float64(nil), m.S...),
 		V:        m.V,
+		vClaim:   m.vClaim,
+		vChained: m.vChained,
 		Scheme:   m.Scheme,
-		global:   append([]float64(nil), m.global...),
+		global:   clip(m.global),
 		svdDocs:  m.svdDocs,
 		svdTerms: m.svdTerms,
 	}
 }
+
+// clip returns s with its capacity cut to its length, so an append to the
+// result reallocates instead of writing into storage s's holders share.
+func clip(s []float64) []float64 { return s[:len(s):len(s)] }
 
 // DocSubsetView returns a model over the document subset idx (rows of V,
 // kept in the given order), sharing the term-side factors (the U matrix

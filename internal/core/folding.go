@@ -22,11 +22,23 @@ func (m *Model) FoldInDocs(d *sparse.CSR) {
 	// Column j of d is row j of the transpose (one counting sort, O(nnz)),
 	// already in the ascending term order ProjectSparse wants.
 	dt := d.T()
-	rows := dense.New(d.Cols, m.U.Cols)
-	for j := 0; j < d.Cols; j++ {
-		m.ProjectSparse(dt.RowVec(j), rows.Row(j))
+	// The projected rows land straight in V's tail: in spare capacity the
+	// model's claim token wins (O(p·k) bytes, independent of n), else in a
+	// fresh copy with headroom for the folds that follow (see SharedClone).
+	claim := m.vClaim
+	if m.vChained != m.V {
+		claim = nil // V was replaced since the token was issued
 	}
-	m.V = m.V.AugmentRows(rows)
+	oldRows, k := m.V.Rows, m.U.Cols
+	if m.V.Cols != k {
+		panic(fmt.Sprintf("core: FoldInDocs V has %d columns want %d", m.V.Cols, k))
+	}
+	data, token, _ := dense.ClaimAppend(m.V.Data, claim, d.Cols*k)
+	v := &dense.Matrix{Rows: oldRows + d.Cols, Cols: k, Data: data}
+	for j := 0; j < d.Cols; j++ {
+		m.ProjectSparse(dt.RowVec(j), v.Row(oldRows+j))
+	}
+	m.V, m.vClaim, m.vChained = v, token, v
 	// The scoring engine's norm cache extends itself lazily on the next
 	// query: existing rows are untouched by folding, so only the appended
 	// rows need normalizing (see docEngine).

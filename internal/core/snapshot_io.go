@@ -29,11 +29,11 @@ import (
 // and factor pages fault in only as queries touch them.
 //
 // Aliasing read-only views is sound under the SharedClone contract
-// (core.go): every mutating method replaces factors wholesale rather
-// than writing through them, so a restored model behaves exactly like
-// the published snapshot a background updater clones from. The small
-// mutable slices (S, global — FoldInTerms appends to global) are copied
-// out, matching what SharedClone copies.
+// (core.go): no mutating method writes below the length a model holds,
+// and a restored model carries no claim token for V, so its first
+// fold-in copies V instead of appending into the mapping — a restored
+// model behaves exactly like the published snapshot a background updater
+// clones from. The small slices S and global are copied out.
 
 // maxModelDim caps every dimension accepted from a snapshot header
 // before anything is sized from it: a corrupt (or hostile) header must

@@ -128,7 +128,7 @@ func (p *DocsUpdatePlan) Apply(base *Model, v *dense.Matrix) *Model {
 		S:        append([]float64(nil), p.S...),
 		V:        v,
 		Scheme:   base.Scheme,
-		global:   append([]float64(nil), base.global...),
+		global:   clip(base.global),
 		svdDocs:  v.Rows,
 		svdTerms: base.svdTerms,
 	}

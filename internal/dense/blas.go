@@ -351,6 +351,41 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
+// DotRows sets dst[i] = Dot(m.Row(i), x) for every row of m. Rows are
+// swept four at a time against x, so four independent chains of adds
+// overlap instead of each waiting on its own previous add; every output
+// keeps Dot's left-to-right chain over its row, so each element is
+// Float64bits-equal to Dot's.
+//
+//lsilint:noalloc
+func DotRows(dst []float64, m *Matrix, x []float64) {
+	if len(x) != m.Cols || len(dst) < m.Rows {
+		panic(fmt.Sprintf("dense: DotRows %dx%d against len %d into %d", m.Rows, m.Cols, len(x), len(dst)))
+	}
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = dot4(m.Row(i), m.Row(i+1), m.Row(i+2), m.Row(i+3), x)
+	}
+	for ; i < m.Rows; i++ {
+		dst[i] = Dot(m.Row(i), x)
+	}
+}
+
+// dot4 is Dot of four equal-length rows against one x, each in its own
+// left-to-right chain.
+//
+//lsilint:noalloc
+func dot4(r0, r1, r2, r3, x []float64) (s0, s1, s2, s3 float64) {
+	r0, r1, r2, r3 = r0[:len(x)], r1[:len(x)], r2[:len(x)], r3[:len(x)]
+	for j, v := range x {
+		s0 += r0[j] * v
+		s1 += r1[j] * v
+		s2 += r2[j] * v
+		s3 += r3[j] * v
+	}
+	return s0, s1, s2, s3
+}
+
 // Norm2 returns the Euclidean norm of x, guarding against overflow.
 //
 //lsilint:noalloc

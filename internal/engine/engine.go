@@ -295,10 +295,7 @@ type Engine struct {
 
 	ivfRebuilds atomic.Int64
 	ivfBuilding atomic.Bool
-	// ivfPlaced counts rows placed by nearest centroid since the last
-	// k-means build landed (Stats.IVFPlacedRows); written on the updater.
-	ivfPlaced atomic.Int64
-	counters  queryCounters
+	counters    queryCounters
 
 	// Updater-goroutine-owned state (no locking: single owner).
 	base    *core.Model       // last pure-SVD model; nil disables compaction
@@ -446,7 +443,7 @@ func (e *Engine) Stats() Stats {
 		Screening:         s.Eng.Screening(),
 		MirrorMaxEps:      s.Eng.MirrorMaxEps(),
 		IVFRebuilds:       e.ivfRebuilds.Load(),
-		IVFPlacedRows:     e.ivfPlaced.Load(),
+		IVFPlacedRows:     int64(s.Eng.IVFPlaced()),
 		Queries:           e.counters.queries.Load(),
 		RescoreCandidates: e.counters.rescored.Load(),
 		ClustersScanned:   e.counters.clustersScanned.Load(),
@@ -726,7 +723,7 @@ func (e *Engine) maybeRebuildIVF() {
 		return
 	}
 	_, clusteredRows, ok := eng.IVF()
-	unseen := n - clusteredRows + int(e.ivfPlaced.Load())
+	unseen := n - clusteredRows + eng.IVFPlaced()
 	if ok && float64(unseen) <= e.cfg.IVFRebuildFraction*float64(n) {
 		return
 	}
@@ -764,9 +761,6 @@ func (e *Engine) finishIVFBuild(res ivfResult) {
 	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: cur.Model, Eng: eng, Docs: cur.Docs,
 		Dead: cur.Dead, counters: &e.counters})
 	e.ivfRebuilds.Add(1)
-	// No compaction landed while the build ran (same epoch), so nothing
-	// was placed since it read its rows.
-	e.ivfPlaced.Store(0)
 	// Fold-ins that landed while the build ran may already exceed the
 	// tail threshold again.
 	e.maybeRebuildIVF()
@@ -974,21 +968,12 @@ func (e *Engine) finishCompaction(model *core.Model, count int, downdated bool) 
 	// Which rows share a cell hardly moves under the rotation, so the
 	// cluster index is carried through the remap and re-certified rather
 	// than re-clustered; the old unclustered tail is placed by nearest
-	// centroid and counts toward the next k-means.
+	// centroid and counts toward the next k-means (the carried index keeps
+	// that count, so it survives a save and restore with the index).
 	e.coordsEpoch++
 	eng := e.newRankEngine(serving.V)
-	if _, clustered, ok := cur.Eng.IVF(); ok && !e.cfg.DisableIVF {
+	if !e.cfg.DisableIVF {
 		eng = eng.CarryIVF(cur.Eng, newRow, e.cfg.IVFMinRows)
-		if _, _, carried := eng.IVF(); carried {
-			// Every row the old clustered prefix does not reach was placed.
-			placed := len(docs)
-			for _, nr := range newRow[:clustered] {
-				if nr >= 0 {
-					placed--
-				}
-			}
-			e.ivfPlaced.Add(int64(placed))
-		}
 	}
 	e.snap.Store(&Snapshot{Gen: cur.Gen + 1, Model: serving, Eng: eng, Docs: docs,
 		Dead: deadSkip(len(docs), e.deadRows), counters: &e.counters})

@@ -97,54 +97,44 @@ func (e *Engine) Int8Screening() bool { return e.mir != nil && e.mir.q8 != nil }
 // newly-appended rows — the incremental path for folding-in, which only
 // ever appends document vectors.
 //
-// When the backing allocation has spare capacity and no other engine in
-// the sharing chain has claimed it, the new rows are written into that
-// tail and the returned Engine shares the prefix storage — an O(new rows)
-// append instead of an O(all rows) copy, which is what keeps per-batch
-// snapshot publication cheap as a collection grows. The screening mirror
-// extends the same way: its arrays carry matching spare capacity, and the
-// claim CAS covers their tails as well, so mirror rows stay bit-equal to
-// the float32 conversion of the float64 rows along every chain. Existing
-// readers are unaffected: they only ever touch rows below their own
-// length, and the tail is written before the new Engine is published
-// (callers hand the result to readers through a synchronized publish such
-// as an atomic snapshot pointer or a mutex, which orders the writes).
+// The float64 rows go through dense.ClaimAppend: when the backing
+// allocation has spare capacity and no other engine in the sharing chain
+// has claimed it, the new rows are written into that tail and the
+// returned Engine shares the prefix storage — an O(new rows) append
+// instead of an O(all rows) copy, which is what keeps per-batch snapshot
+// publication cheap as a collection grows. The screening mirror extends
+// the same way: its arrays carry matching spare capacity, and the claim
+// CAS covers their tails as well, so mirror rows stay bit-equal to the
+// float32 conversion of the float64 rows along every chain. On the copy
+// path the old rows' mirror and quantized tiers are copied, not derived
+// again — they are functions of float64 rows the copy carries bit for
+// bit — and only the new rows are converted. Existing readers are
+// unaffected: they only ever touch rows below their own length, and the
+// tail is written before the new Engine is published (callers hand the
+// result to readers through a synchronized publish such as an atomic
+// snapshot pointer or a mutex, which orders the writes).
 func (e *Engine) Extend(more *dense.Matrix) *Engine {
 	if more.Cols != e.docs.Cols {
 		panic(fmt.Sprintf("rank: Extend dim %d want %d", more.Cols, e.docs.Cols))
 	}
-	norm := more.Clone()
-	for i := 0; i < norm.Rows; i++ {
-		dense.Normalize(norm.Row(i))
+	oldRows := e.docs.Rows
+	data, claimed, shared := dense.ClaimAppend(e.docs.Data, e.claimed, len(more.Data))
+	copy(data[len(e.docs.Data):], more.Data)
+	docs := &dense.Matrix{Rows: oldRows + more.Rows, Cols: e.docs.Cols, Data: data}
+	for i := oldRows; i < docs.Rows; i++ {
+		dense.Normalize(docs.Row(i))
 	}
-	oldLen := len(e.docs.Data)
-	need := oldLen + len(norm.Data)
-	if e.claimed != nil && cap(e.docs.Data) >= need &&
-		e.claimed.CompareAndSwap(int64(oldLen), int64(need)) {
-		data := e.docs.Data[:need]
-		copy(data[oldLen:], norm.Data)
-		docs := &dense.Matrix{Rows: e.docs.Rows + norm.Rows, Cols: e.docs.Cols, Data: data}
-		next := &Engine{docs: docs, claimed: e.claimed, ivf: e.ivf}
-		if e.mir != nil {
-			next.mir = e.mir.extendShared(docs, e.docs.Rows)
-		}
-		return next
-	}
-	// Copy path: a fresh allocation with headroom so subsequent extends of
-	// the chain amortize to O(new rows).
-	capacity := 2 * oldLen
-	if capacity < need {
-		capacity = need
-	}
-	data := make([]float64, need, capacity)
-	copy(data, e.docs.Data)
-	copy(data[oldLen:], norm.Data)
-	ne := newEngineFor(&dense.Matrix{Rows: e.docs.Rows + norm.Rows, Cols: e.docs.Cols, Data: data},
-		e.mir != nil, e.mir != nil && e.mir.q8 != nil)
 	// The cluster index describes a row prefix whose values are identical
-	// in the copy, so it stays valid across the copy path too.
-	ne.ivf = e.ivf
-	return ne
+	// on both paths, so it stays valid.
+	next := &Engine{docs: docs, claimed: claimed, ivf: e.ivf}
+	switch {
+	case e.mir == nil:
+	case shared:
+		next.mir = e.mir.extendShared(docs, oldRows)
+	default:
+		next.mir = e.mir.extendCopy(docs, oldRows)
+	}
+	return next
 }
 
 // NumDocs returns how many document rows the engine covers.

@@ -96,6 +96,10 @@ type IVFIndex struct {
 	// members[c] lists the rows of cell c; every row in [0, rows) appears
 	// in exactly one cell.
 	members [][]int32
+	// placed counts the rows compactions assigned to a cell by nearest
+	// centroid rather than by k-means, summed over every carry since the
+	// k-means build this membership descends from (0 on a build).
+	placed int
 }
 
 // Clusters returns the number of k-means cells.
@@ -224,12 +228,13 @@ func (e *Engine) CarryIVF(from *Engine, newRow []int, minRows int) *Engine {
 		// rest; the old centroids live in the old coordinates.
 		cents, _ := certifyClusters(e.docs, n, members)
 		parallelRange(len(todo), len(todo)*cents.Rows*e.docs.Cols >= scoreParallelCutoff, func(lo, hi int) {
+			dots := make([]float64, cents.Rows)
 			for _, r := range todo[lo:hi] {
-				row := e.docs.Row(r)
-				best, bestDot := 0, dense.Dot(row, cents.Row(0))
-				for c := 1; c < cents.Rows; c++ {
-					if d := dense.Dot(row, cents.Row(c)); d > bestDot {
-						best, bestDot = c, d
+				dense.DotRows(dots, cents, e.docs.Row(r))
+				best := 0
+				for c := 1; c < len(dots); c++ {
+					if dots[c] > dots[best] {
+						best = c
 					}
 				}
 				cell[r] = int32(best)
@@ -240,7 +245,7 @@ func (e *Engine) CarryIVF(from *Engine, newRow []int, minRows int) *Engine {
 	cents, radius := certifyClusters(e.docs, n, members)
 	ne := *e
 	ne.ivf = &IVFIndex{rows: n, dim: e.docs.Cols, nprobe: old.nprobe,
-		cents: cents, radius: radius, members: members}
+		cents: cents, radius: radius, members: members, placed: old.placed + len(todo)}
 	return &ne
 }
 
@@ -287,6 +292,15 @@ func (e *Engine) WithIVFIndex(idx *IVFIndex) *Engine {
 	ne := *e
 	ne.ivf = idx
 	return &ne
+}
+
+// IVFPlaced reports how many rows of the attached index compactions
+// placed by nearest centroid since its k-means build (0 without one).
+func (e *Engine) IVFPlaced() int {
+	if e.ivf == nil {
+		return 0
+	}
+	return e.ivf.placed
 }
 
 // IVF reports the attached cluster index: cell count and the clustered
@@ -548,8 +562,9 @@ func (e *Engine) ivfCellOrder(qn []float64, sc *scanScratch) ([]float64, []int) 
 	}
 	ubs, order := sc.ubs[:nc], sc.order[:nc]
 	ubSlack := ivfUBSlack(e.docs.Cols)
+	dense.DotRows(ubs, idx.cents, qn)
 	for c := range ubs {
-		ubs[c] = dense.Dot(qn, idx.cents.Row(c)) + idx.radius[c] + ubSlack
+		ubs[c] = ubs[c] + idx.radius[c] + ubSlack
 		order[c] = c
 	}
 	slices.SortFunc(order, func(a, b int) int {

@@ -54,6 +54,7 @@ type IVFParts struct {
 	Radius            []float64 // one per cluster
 	MemberCounts      []int32   // one per cluster; sums to Rows
 	Members           []int32   // flattened cell membership, cell-major
+	Placed            int       // rows placed by nearest centroid since the k-means build
 }
 
 // Parts extracts the engine's derived arrays as views (no copies). The
@@ -90,6 +91,7 @@ func (ix *IVFIndex) Parts() *IVFParts {
 		Cents:        ix.cents.Data,
 		Radius:       ix.radius,
 		MemberCounts: make([]int32, len(ix.members)),
+		Placed:       ix.placed,
 	}
 	total := 0
 	for c, ms := range ix.members {
@@ -184,9 +186,9 @@ func EngineFromParts(docs *dense.Matrix, p *Parts) (*Engine, error) {
 // documents from (or double-count them in) every certified cell bound.
 func IVFFromParts(p *IVFParts) (*IVFIndex, error) {
 	clusters := len(p.MemberCounts)
-	if p.Rows < 0 || p.Dim <= 0 || p.NProbe < 0 {
-		return nil, fmt.Errorf("rank: corrupt IVF header rows=%d dim=%d nprobe=%d",
-			p.Rows, p.Dim, p.NProbe)
+	if p.Rows < 0 || p.Dim <= 0 || p.NProbe < 0 || p.Placed < 0 {
+		return nil, fmt.Errorf("rank: corrupt IVF header rows=%d dim=%d nprobe=%d placed=%d",
+			p.Rows, p.Dim, p.NProbe, p.Placed)
 	}
 	if len(p.Cents) != clusters*p.Dim || len(p.Radius) != clusters {
 		return nil, fmt.Errorf("rank: IVF sections sized %d/%d, want %d/%d",
@@ -229,5 +231,6 @@ func IVFFromParts(p *IVFParts) (*IVFIndex, error) {
 		cents:   &dense.Matrix{Rows: clusters, Cols: p.Dim, Data: p.Cents},
 		radius:  p.Radius,
 		members: members,
+		placed:  p.Placed,
 	}, nil
 }

@@ -310,6 +310,111 @@ func TestEngineExtendSiblingsDoNotAlias(t *testing.T) {
 	}
 }
 
+// partsBitEqual fails unless two engines' derived arrays — the float32
+// mirror, the int8 tier and every residual and bound — are bit-identical.
+func partsBitEqual(t *testing.T, label string, got, want *Engine) {
+	t.Helper()
+	g, w := got.Parts(), want.Parts()
+	f64 := func(name string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s has %d values, want %d", label, name, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s[%d] = %x, want %x", label, name, i, math.Float64bits(a[i]), math.Float64bits(b[i]))
+			}
+		}
+	}
+	f64("docs", got.docs.Data, want.docs.Data)
+	f64("eps", g.Eps, w.Eps)
+	f64("maxEps", []float64{g.MaxEps}, []float64{w.MaxEps})
+	f64("scale", g.Scale, w.Scale)
+	f64("eps8", g.Eps8, w.Eps8)
+	f64("maxEps8", []float64{g.MaxEps8}, []float64{w.MaxEps8})
+	if len(g.Mirror) != len(w.Mirror) || len(g.Q8) != len(w.Q8) {
+		t.Fatalf("%s: tier sizes %d/%d, want %d/%d", label, len(g.Mirror), len(g.Q8), len(w.Mirror), len(w.Q8))
+	}
+	for i := range g.Mirror {
+		if math.Float32bits(g.Mirror[i]) != math.Float32bits(w.Mirror[i]) {
+			t.Fatalf("%s: mirror[%d] differs", label, i)
+		}
+	}
+	if !reflect.DeepEqual(g.Q8, w.Q8) {
+		t.Fatalf("%s: int8 tier differs", label)
+	}
+}
+
+// TestEngineExtendCopyPathMatchesBuild pins the copy path of Extend: it
+// copies the old rows' mirror, int8 rows, residuals and bounds instead of
+// deriving them again, so the result must be bit-identical to NewEngine
+// over the same rows — from a freshly built parent, from a sibling that
+// lost the claim, and from an engine reassembled from its parts, with a
+// zero row and a subnormal-norm row among the new rows and the rows of
+// largest residual (which set maxEps and maxEps8) among the old ones.
+func TestEngineExtendCopyPathMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const dim = 16
+	all := randomMatrix(rng, 90, dim)
+	clear(all.Row(7))
+	for j := range all.Row(61) {
+		all.Row(61)[j] = 5e-324
+	}
+	// Residuals are per-row, so swapping the rows of largest float32 and
+	// int8 residual to the front leaves both bounds to the old rows.
+	swap := func(a, b int) {
+		ra, rb := all.Row(a), all.Row(b)
+		for j := range ra {
+			ra[j], rb[j] = rb[j], ra[j]
+		}
+	}
+	want := NewEngine(all)
+	argmax := func(xs []float64) int {
+		best := 0
+		for i, x := range xs {
+			if x > xs[best] {
+				best = i
+			}
+		}
+		return best
+	}
+	swap(0, argmax(want.mir.eps))
+	swap(1, argmax(NewEngine(all).mir.eps8))
+	want = NewEngine(all)
+	if want.mir.eps[0] != want.mir.maxEps || want.mir.eps8[1] != want.mir.maxEps8 {
+		t.Fatal("fixture: the largest residuals are not on rows 0 and 1")
+	}
+
+	fresh := NewEngine(all.Slice(0, 50, 0, dim)).Extend(all.Slice(50, 90, 0, dim))
+	parent := NewEngine(all.Slice(0, 30, 0, dim)).Extend(all.Slice(30, 50, 0, dim))
+	winner := parent.Extend(all.Slice(50, 55, 0, dim))
+	loser := parent.Extend(all.Slice(50, 90, 0, dim))
+	if &winner.docs.Data[0] != &parent.docs.Data[0] || &loser.docs.Data[0] == &parent.docs.Data[0] {
+		t.Fatal("expected one claiming sibling and one copying sibling")
+	}
+	src := NewEngine(all.Slice(0, 50, 0, dim))
+	restored, err := EngineFromParts(src.docs.Clone(), src.Parts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromParts := restored.Extend(all.Slice(50, 90, 0, dim))
+
+	for _, c := range []struct {
+		label string
+		e     *Engine
+	}{{"fresh parent", fresh}, {"losing sibling", loser}, {"restored parent", fromParts}} {
+		if !c.e.Int8Screening() {
+			t.Fatalf("%s: lost its int8 tier", c.label)
+		}
+		checkMirrorBitEqual(t, c.e)
+		partsBitEqual(t, c.label, c.e, want)
+	}
+	// An exact-only engine stays exact-only along the copy path.
+	if ex := NewEngineExact(all.Slice(0, 50, 0, dim)).Extend(all.Slice(50, 90, 0, dim)); ex.Screening() {
+		t.Fatal("exact engine grew a mirror on extend")
+	}
+}
+
 // TestEngineConcurrentReaders hammers one engine from many goroutines —
 // engines are immutable, so -race must stay quiet.
 func TestEngineConcurrentReaders(t *testing.T) {

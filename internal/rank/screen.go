@@ -92,6 +92,14 @@ type mirror struct {
 // dense.MaxI8Dim never get an int8 tier (the integer dot could
 // overflow); they keep the two-tier path.
 func buildMirror(docs *dense.Matrix, withInt8 bool) *mirror {
+	m := allocMirror(docs, withInt8 && docs.Cols <= dense.MaxI8Dim)
+	m.fillRows(docs, 0)
+	return m
+}
+
+// allocMirror sizes an unfilled mirror for docs: lengths match its rows,
+// capacities match cap(docs.Data).
+func allocMirror(docs *dense.Matrix, withInt8 bool) *mirror {
 	capElems := cap(docs.Data)
 	capRows := docs.Rows
 	if docs.Cols > 0 {
@@ -102,13 +110,12 @@ func buildMirror(docs *dense.Matrix, withInt8 bool) *mirror {
 			Data: make([]float32, len(docs.Data), capElems)},
 		eps: make([]float64, docs.Rows, capRows),
 	}
-	if withInt8 && docs.Cols <= dense.MaxI8Dim {
+	if withInt8 {
 		m.q8 = &dense.MatrixI8{Rows: docs.Rows, Cols: docs.Cols,
 			Data: make([]int8, len(docs.Data), capElems)}
 		m.scale = make([]float64, docs.Rows, capRows)
 		m.eps8 = make([]float64, docs.Rows, capRows)
 	}
-	m.fillRows(docs, 0)
 	return m
 }
 
@@ -156,6 +163,26 @@ func (m *mirror) extendShared(docs *dense.Matrix, oldRows int) *mirror {
 			Data: m.q8.Data[:len(docs.Data)]}
 		next.scale = m.scale[:docs.Rows]
 		next.eps8 = m.eps8[:docs.Rows]
+		next.maxEps8 = m.maxEps8
+	}
+	next.fillRows(docs, oldRows)
+	return next
+}
+
+// extendCopy is extendShared for the copy path: docs is a fresh
+// allocation whose first oldRows rows are this mirror's float64 rows,
+// copied bit for bit. Their conversions, residuals and bounds are
+// functions of those rows, so they are copied too; only the new rows are
+// converted.
+func (m *mirror) extendCopy(docs *dense.Matrix, oldRows int) *mirror {
+	next := allocMirror(docs, m.q8 != nil)
+	copy(next.docs.Data, m.docs.Data[:oldRows*docs.Cols])
+	copy(next.eps, m.eps[:oldRows])
+	next.maxEps = m.maxEps
+	if m.q8 != nil {
+		copy(next.q8.Data, m.q8.Data[:oldRows*docs.Cols])
+		copy(next.scale, m.scale[:oldRows])
+		copy(next.eps8, m.eps8[:oldRows])
 		next.maxEps8 = m.maxEps8
 	}
 	next.fillRows(docs, oldRows)

@@ -21,7 +21,8 @@ import (
 // TestChurnedSnapshotRestoresWithItsIndex: a tier churned by fold-ins,
 // deletes and compactions saves its carried cluster indexes, and the
 // restore adopts them instead of running k-means — the restored IVF
-// parts are the live ones byte for byte, and /search answers with the
+// parts are the live ones byte for byte, the count of rows placed by
+// nearest centroid resumes where it stood, and /search answers with the
 // live tier's bytes.
 func TestChurnedSnapshotRestoresWithItsIndex(t *testing.T) {
 	synth := corpus.GenerateSynth(corpus.SynthOptions{Seed: 14, Docs: 360, Topics: 6})
@@ -73,6 +74,11 @@ func TestChurnedSnapshotRestoresWithItsIndex(t *testing.T) {
 			}
 			if st := restored.Stats(); st.IVFRebuilds != 0 || st.IVFClusters == 0 || st.IVFUnclusteredTail != 0 {
 				t.Fatalf("restore ran k-means or lost the index: %+v", st)
+			}
+			// The rows compactions placed by nearest centroid drive the next
+			// k-means; a restore must resume that budget, not reset it.
+			if want, got := live.Stats().IVFPlacedRows, restored.Stats().IVFPlacedRows; want == 0 || got != want {
+				t.Fatalf("placed rows %d after restore, %d live (want equal and nonzero)", got, want)
 			}
 			for s := 0; s < shards; s++ {
 				want := live.ShardSnapshot(s).Eng.Parts().IVF

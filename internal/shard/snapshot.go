@@ -123,11 +123,18 @@ type shardState struct {
 		HasMirror bool    `json:"hasMirror"`
 		HasQ8     bool    `json:"hasQ8"`
 	} `json:"rank"`
-	IVF *struct {
-		Rows   int `json:"rows"`
-		Dim    int `json:"dim"`
-		NProbe int `json:"nprobe"`
-	} `json:"ivf,omitempty"`
+	IVF *ivfState `json:"ivf,omitempty"`
+}
+
+// ivfState is the IVF index's record in shardState. Placed is the count
+// of rows compactions placed by nearest centroid since the index's k-means
+// build; it feeds the rebuild trigger, so it travels with the index.
+// Omitted when zero, so a fresh tier's state is unchanged by it.
+type ivfState struct {
+	Rows   int `json:"rows"`
+	Dim    int `json:"dim"`
+	NProbe int `json:"nprobe"`
+	Placed int `json:"placed,omitempty"`
 }
 
 // SaveSnapshot persists the tier to path. It first runs a coordinated
@@ -210,11 +217,7 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 	st.Rank.MaxEps, st.Rank.MaxEps8 = p.MaxEps, p.MaxEps8
 	st.Rank.HasMirror, st.Rank.HasQ8 = p.Mirror != nil, p.Q8 != nil
 	if p.IVF != nil {
-		st.IVF = &struct {
-			Rows   int `json:"rows"`
-			Dim    int `json:"dim"`
-			NProbe int `json:"nprobe"`
-		}{Rows: p.IVF.Rows, Dim: p.IVF.Dim, NProbe: p.IVF.NProbe}
+		st.IVF = &ivfState{Rows: p.IVF.Rows, Dim: p.IVF.Dim, NProbe: p.IVF.NProbe, Placed: p.IVF.Placed}
 	}
 	stateRaw, err := json.Marshal(&st)
 	if err != nil {
@@ -482,7 +485,7 @@ func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 			return nil, err
 		}
 		parts.IVF = &rank.IVFParts{Rows: st.IVF.Rows, Dim: st.IVF.Dim, NProbe: st.IVF.NProbe,
-			Cents: cents, Radius: radius, MemberCounts: counts, Members: members}
+			Cents: cents, Radius: radius, MemberCounts: counts, Members: members, Placed: st.IVF.Placed}
 	}
 	prebuilt, err := rank.EngineFromParts(norm, parts)
 	if err != nil {
