@@ -56,10 +56,13 @@ test:
 
 # test-portable keeps the build without internal/dense's AVX2 assembly
 # honest: the kernel packages' tests under -tags purego (the portable
-# loops are the whole kernel there, as on every non-amd64 target), and a
-# cross-architecture vet so no file assumes the assembly exists.
+# loops are the whole kernel there, as on every non-amd64 target), the
+# shard suite too — a restore re-derives every scoring tier and cell
+# bound from a snapshot, and its parity with the saved engines must hold
+# on the portable kernels as well — and a cross-architecture vet so no
+# file assumes the assembly exists.
 test-portable:
-	$(GO) test -tags purego ./internal/dense/... ./internal/rank/...
+	$(GO) test -tags purego ./internal/dense/... ./internal/rank/... ./internal/shard/...
 	GOARCH=arm64 $(GO) vet ./...
 
 race:

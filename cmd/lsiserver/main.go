@@ -24,9 +24,10 @@
 //
 //	lsiserver -load-model state.lsnp -addr :8080
 //
-// restores it without re-reading -dir or recomputing the SVD — factors
-// and scoring caches attach memory-mapped, so startup time is
-// independent of corpus size and cold rows page in on first touch.
+// restores it without re-reading -dir, recomputing the SVD or re-running
+// k-means: the factors attach memory-mapped (cold rows page in on first
+// touch), and the scoring tiers are derived from them under this
+// process's tier flags, as a build would.
 //
 //lsilint:file-ignore walltime — server lifecycle timeouts are wall-clock by nature
 package main
@@ -83,7 +84,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline; 0 disables")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for draining queued fold-ins")
 	loadModel := flag.String("load-model", "",
-		"start from a model snapshot (.lsnp) instead of indexing -dir: no SVD rebuild, factors and scoring caches attach memory-mapped, startup cost independent of corpus size")
+		"start from a model snapshot (.lsnp) instead of indexing -dir: no SVD rebuild and no k-means, factors attach memory-mapped, scoring tiers are derived under this process's tier flags")
 	saveModel := flag.String("save-model", "",
 		"write a model snapshot here during graceful shutdown (after the fold-in queues drain and a final compaction)")
 	verifyModel := flag.Bool("verify-model", false,

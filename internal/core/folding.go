@@ -84,8 +84,3 @@ func (m *Model) FoldedTerms() int { return m.NumTerms() - m.svdTerms }
 func (m *Model) DocOrthogonality() float64 {
 	return dense.OrthogonalityError(m.V)
 }
-
-// TermOrthogonality is the same measure for Û_k.
-func (m *Model) TermOrthogonality() float64 {
-	return dense.OrthogonalityError(m.U)
-}

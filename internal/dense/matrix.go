@@ -236,17 +236,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// MaxAbs returns the largest absolute element value (zero for empty).
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // Equal reports whether every element of m and b agrees within tol.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 	if m.Rows != b.Rows || m.Cols != b.Cols {

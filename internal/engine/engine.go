@@ -114,15 +114,15 @@ type Config struct {
 	GKRank int
 
 	// The remaining fields exist for snapshot restore (shard.Restore):
-	// they let New resume a previously persisted engine instead of
-	// rebuilding its derived state. Leave them zero for a fresh engine.
+	// they let New resume a persisted engine's counters, tombstones and
+	// cluster cells. Leave them zero for a fresh engine.
 
-	// Prebuilt, when non-nil, is the scoring cache reassembled from a
-	// snapshot (rank.EngineFromParts); New adopts it instead of
-	// recomputing mirrors and quantized tiers from model.V. If it already
-	// carries an IVF index the synchronous initial build is skipped too —
-	// this is what makes restored startup independent of corpus size.
-	Prebuilt *rank.Engine
+	// RestoredIVF, when non-nil, is the cell membership of a persisted
+	// cluster index. New builds the scoring cache from model.V as for a
+	// fresh engine and, where it would run k-means for the initial index,
+	// certifies this membership instead (rank.Engine.IVFFromParts); its
+	// Cents, Radius and NProbe are not read.
+	RestoredIVF *rank.IVFParts
 	// InitialGen, when nonzero, seeds the snapshot generation counter so
 	// generations keep increasing monotonically across a save/load cycle.
 	InitialGen uint64
@@ -375,23 +375,23 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Engine, error
 	if model.FoldedDocs() == 0 && model.FoldedTerms() == 0 {
 		e.base = model
 	}
-	eng := cfg.Prebuilt
-	if eng == nil {
-		eng = e.newRankEngine(model.V)
-	} else if eng.NumDocs() != model.NumDocs() {
-		return nil, fmt.Errorf("engine: prebuilt cache has %d docs, model %d", eng.NumDocs(), model.NumDocs())
-	}
+	// The scoring cache is derived from V on every path, restore included:
+	// O(n·k), and bit-identical to the cache a snapshot's engine served.
+	eng := e.newRankEngine(model.V)
 	if !cfg.DisableIVF {
-		if _, _, indexed := eng.IVF(); !indexed {
-			// The initial index builds synchronously: the engine is not
-			// serving yet, and starting with an indexed snapshot means the
-			// very first query already prunes. A prebuilt cache restored
-			// with its index skips this — that skip (plus skipping the SVD)
-			// is what makes -load-model startup O(1) in corpus size.
-			if with := eng.BuildIVF(e.ivfConfig()); with != eng {
-				eng = with
-				e.ivfRebuilds.Add(1)
+		// The initial index builds synchronously: the engine is not serving
+		// yet, and starting with an indexed snapshot means the very first
+		// query already prunes. A restored membership replaces only the
+		// k-means step, so it is not counted as a rebuild.
+		if cfg.RestoredIVF != nil {
+			with, err := eng.IVFFromParts(cfg.RestoredIVF, e.ivfConfig())
+			if err != nil {
+				return nil, fmt.Errorf("engine: restored cluster index: %w", err)
 			}
+			eng = with
+		} else if with := eng.BuildIVF(e.ivfConfig()); with != eng {
+			eng = with
+			e.ivfRebuilds.Add(1)
 		}
 	}
 	gen := uint64(1)

@@ -2,31 +2,16 @@ package rank
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
-
-	"repro/internal/dense"
+	"slices"
 )
 
-// Parts is the serialization seam between a rank.Engine and the
-// snapshot container: every derived array the engine computed at build
-// time, exposed as flat slices that encode to (and attach from)
-// snapfile sections without copying.
-//
-// The float64 document cache is deliberately absent. It is rebuilt at
-// restore time by unit-normalizing the model's V rows — the exact
-// operation newEngine performed originally, so the reconstruction is
-// bit-identical — because at 8 bytes/coordinate it is the one array
-// cheaper to recompute than to page in. The mirror (4 bytes/coord),
-// the int8 tier (1 byte/coord), and the residual arrays are the
-// expensive artifacts; those round trip as raw bytes.
-//
-// Restored slices may be read-only mmap views. That is safe by
-// construction: every slice here is only ever written during buildMirror
-// / fillRows / BuildIVF, and restored engines skip all three. Extend on
-// a restored engine always takes its copy path because the views carry
-// zero spare capacity (cap == len), so the capacity-claiming CAS cannot
-// hand out a tail that lives in a PROT_READ mapping.
+// Parts is an exported, read-only view of an engine's derived arrays:
+// the float32 mirror, the int8 tier, their residuals and bounds, and the
+// cluster index in flat form. Tests use it to pin those arrays bit for
+// bit, and tools use it to measure what a scoring cache holds. Every
+// array here is a function of the float64 rows except the index's cell
+// membership, which k-means produced; that membership is what a
+// persisted engine keeps, and IVFFromParts attaches it again.
 type Parts struct {
 	Rows, Cols int
 
@@ -46,8 +31,7 @@ type Parts struct {
 }
 
 // IVFParts flattens an IVFIndex: the ragged members lists become one
-// []int32 plus per-cell counts, so the whole index is three numeric
-// sections and one small meta record.
+// []int32 plus per-cell counts.
 type IVFParts struct {
 	Rows, Dim, NProbe int
 	Cents             []float64 // clusters×dim, row-major
@@ -58,9 +42,7 @@ type IVFParts struct {
 }
 
 // Parts extracts the engine's derived arrays as views (no copies). The
-// engine must not be Extended while the caller is still encoding them;
-// in the serving pipeline this holds because snapshots are taken from a
-// quiesced engine.
+// engine must not be Extended while the caller is still reading them.
 func (e *Engine) Parts() *Parts {
 	p := &Parts{Rows: e.docs.Rows, Cols: e.docs.Cols}
 	if e.mir != nil {
@@ -80,9 +62,9 @@ func (e *Engine) Parts() *Parts {
 	return p
 }
 
-// Parts flattens the index for serialization; the returned slices view
-// the index's own storage except Members/MemberCounts, which are
-// re-packed (the in-memory form is ragged).
+// Parts flattens the index; the returned slices view the index's own
+// storage except Members/MemberCounts, which are re-packed (the
+// in-memory form is ragged).
 func (ix *IVFIndex) Parts() *IVFParts {
 	p := &IVFParts{
 		Rows:         ix.rows,
@@ -105,99 +87,23 @@ func (ix *IVFIndex) Parts() *IVFParts {
 	return p
 }
 
-// EngineFromParts reassembles an engine from restored sections plus the
-// freshly renormalized float64 document matrix. docs ownership
-// transfers to the engine (it is not cloned — the caller just built it
-// for this purpose); the Parts slices may be read-only views.
-//
-// Validation is structural and O(rows + clusters·dim), never
-// O(rows·cols) numeric work — re-deriving the quantized tiers would
-// cost the SVD-free startup the snapshot exists to provide. Payload
-// integrity is the snapshot container's job (per-section CRCs).
-func EngineFromParts(docs *dense.Matrix, p *Parts) (*Engine, error) {
-	if docs.Rows != p.Rows || docs.Cols != p.Cols {
-		return nil, fmt.Errorf("rank: parts are %d×%d but docs are %d×%d",
-			p.Rows, p.Cols, docs.Rows, docs.Cols)
-	}
-	n := p.Rows * p.Cols
-	claimed := new(atomic.Int64)
-	claimed.Store(int64(len(docs.Data)))
-	e := &Engine{docs: docs, claimed: claimed}
-
-	if p.Mirror != nil {
-		if len(p.Mirror) != n || len(p.Eps) != p.Rows {
-			return nil, fmt.Errorf("rank: mirror sections sized %d/%d, want %d/%d",
-				len(p.Mirror), len(p.Eps), n, p.Rows)
-		}
-		if p.MaxEps < 0 || math.IsNaN(p.MaxEps) || math.IsInf(p.MaxEps, 0) {
-			return nil, fmt.Errorf("rank: corrupt mirror maxEps %v", p.MaxEps)
-		}
-		// The mirror is built in one literal — it is an //lsilint:immutable
-		// type, and this is its restore-side constructor.
-		var q8 *dense.MatrixI8
-		var scale, eps8 []float64
-		if p.Q8 != nil {
-			if p.Cols > dense.MaxI8Dim {
-				return nil, fmt.Errorf("rank: int8 sections present but cols %d exceed %d",
-					p.Cols, dense.MaxI8Dim)
-			}
-			if len(p.Q8) != n || len(p.Scale) != p.Rows || len(p.Eps8) != p.Rows {
-				return nil, fmt.Errorf("rank: int8 sections sized %d/%d/%d, want %d/%d/%d",
-					len(p.Q8), len(p.Scale), len(p.Eps8), n, p.Rows, p.Rows)
-			}
-			if p.MaxEps8 < 0 || math.IsNaN(p.MaxEps8) || math.IsInf(p.MaxEps8, 0) {
-				return nil, fmt.Errorf("rank: corrupt int8 maxEps8 %v", p.MaxEps8)
-			}
-			q8 = &dense.MatrixI8{Rows: p.Rows, Cols: p.Cols, Data: p.Q8}
-			scale, eps8 = p.Scale, p.Eps8
-		}
-		e.mir = &mirror{
-			docs:    &dense.MatrixF32{Rows: p.Rows, Cols: p.Cols, Data: p.Mirror},
-			eps:     p.Eps,
-			maxEps:  p.MaxEps,
-			q8:      q8,
-			scale:   scale,
-			eps8:    eps8,
-			maxEps8: p.MaxEps8,
-		}
-	} else if p.Q8 != nil {
-		return nil, fmt.Errorf("rank: int8 tier requires the float32 mirror")
-	}
-
-	if p.IVF != nil {
-		ix, err := IVFFromParts(p.IVF)
-		if err != nil {
-			return nil, err
-		}
-		if ix.rows > p.Rows {
-			return nil, fmt.Errorf("rank: IVF covers %d rows but engine has %d", ix.rows, p.Rows)
-		}
-		if ix.dim != p.Cols {
-			return nil, fmt.Errorf("rank: IVF dim %d but engine cols %d", ix.dim, p.Cols)
-		}
-		e.ivf = ix
-	}
-	return e, nil
-}
-
-// IVFFromParts rebuilds the ragged index from its flattened form,
-// verifying the membership lists are an exact partition of [0, Rows):
-// a snapshot that dropped or duplicated a row would silently exclude
-// documents from (or double-count them in) every certified cell bound.
-func IVFFromParts(p *IVFParts) (*IVFIndex, error) {
-	clusters := len(p.MemberCounts)
-	if p.Rows < 0 || p.Dim <= 0 || p.NProbe < 0 || p.Placed < 0 {
-		return nil, fmt.Errorf("rank: corrupt IVF header rows=%d dim=%d nprobe=%d placed=%d",
-			p.Rows, p.Dim, p.NProbe, p.Placed)
-	}
-	if len(p.Cents) != clusters*p.Dim || len(p.Radius) != clusters {
-		return nil, fmt.Errorf("rank: IVF sections sized %d/%d, want %d/%d",
-			len(p.Cents), len(p.Radius), clusters*p.Dim, clusters)
-	}
-	for c, r := range p.Radius {
-		if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
-			return nil, fmt.Errorf("rank: corrupt IVF radius[%d] = %v", c, r)
-		}
+// IVFFromParts is BuildIVF with the k-means step replaced by a given cell
+// membership — the saved one of a persisted index. p.MemberCounts and
+// p.Members must partition the row prefix [0, p.Rows) exactly: a list
+// that dropped or duplicated a row would silently exclude documents
+// from (or double-count them in) every certified cell bound. The
+// centroids and radii are then certified against the receiver's float64
+// rows, as a build certifies the partition k-means returns, so the
+// membership of an engine over the same rows reproduces that engine's
+// index bit for bit. cfg supplies the probe budget and the build floor
+// (Clusters and Seed shape only k-means); p's Cents, Radius and NProbe
+// are not read. The membership is checked first, and the receiver comes
+// back unchanged when it is exact-only or below the floor, as BuildIVF's
+// does.
+func (e *Engine) IVFFromParts(p *IVFParts, cfg IVFConfig) (*Engine, error) {
+	if p.Rows < 0 || p.Rows > e.docs.Rows || p.Dim != e.docs.Cols || p.Placed < 0 {
+		return nil, fmt.Errorf("rank: IVF header rows=%d dim=%d placed=%d does not fit an engine of %d×%d",
+			p.Rows, p.Dim, p.Placed, e.docs.Rows, e.docs.Cols)
 	}
 	if len(p.Members) != p.Rows {
 		return nil, fmt.Errorf("rank: IVF members list %d entries, want %d", len(p.Members), p.Rows)
@@ -212,25 +118,29 @@ func IVFFromParts(p *IVFParts) (*IVFIndex, error) {
 		}
 		seen[m] = true
 	}
-	members := make([][]int32, clusters)
+	// The lists are carved from an owned copy: p.Members may view a
+	// snapshot file its caller closes later.
+	backing := slices.Clone(p.Members)
+	members := make([][]int32, len(p.MemberCounts))
 	off := 0
 	for c, cnt := range p.MemberCounts {
-		if cnt < 0 || off+int(cnt) > len(p.Members) {
+		if cnt < 0 || off+int(cnt) > len(backing) {
 			return nil, fmt.Errorf("rank: IVF cell %d count %d overruns members list", c, cnt)
 		}
-		members[c] = p.Members[off : off+int(cnt) : off+int(cnt)]
+		members[c] = backing[off : off+int(cnt) : off+int(cnt)]
 		off += int(cnt)
 	}
-	if off != len(p.Members) {
-		return nil, fmt.Errorf("rank: IVF cell counts sum to %d, want %d", off, len(p.Members))
+	if off != len(backing) {
+		return nil, fmt.Errorf("rank: IVF cell counts sum to %d, want %d", off, len(backing))
 	}
-	return &IVFIndex{
-		rows:    p.Rows,
-		dim:     p.Dim,
-		nprobe:  p.NProbe,
-		cents:   &dense.Matrix{Rows: clusters, Cols: p.Dim, Data: p.Cents},
-		radius:  p.Radius,
-		members: members,
-		placed:  p.Placed,
-	}, nil
+	minRows := cfg.MinRows
+	if minRows <= 0 {
+		minRows = DefaultIVFMinRows
+	}
+	if e.mir == nil || e.docs.Rows < minRows {
+		return e, nil
+	}
+	cents, radius := certifyClusters(e.docs, p.Rows, members)
+	return e.WithIVFIndex(&IVFIndex{rows: p.Rows, dim: p.Dim, nprobe: max(cfg.NProbe, 0),
+		cents: cents, radius: radius, members: members, placed: p.Placed}), nil
 }

@@ -4,54 +4,50 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/dense"
 )
 
-// rebuildDocs replays what a snapshot restore does for the float64
-// cache: unit-normalize a fresh clone of the raw vectors.
-func rebuildDocs(raw *dense.Matrix) *dense.Matrix {
-	docs := raw.Clone()
-	for i := 0; i < docs.Rows; i++ {
-		dense.Normalize(docs.Row(i))
-	}
-	return docs
-}
-
-// TestPartsRoundTrip pins the restore contract: an engine reassembled
-// from Parts() plus renormalized raw vectors answers every query
-// byte-identically to the original — flat, with int8 tier, and with an
-// IVF index — and carries the same tier flags.
+// TestPartsRoundTrip pins the restore contract: an engine built from the
+// raw vectors, with the original's cell membership attached through
+// IVFFromParts, carries the original's tiers and index bit for bit and
+// answers every query byte-identically — flat, with an IVF index, and
+// with an index covering only a row prefix (rows appended after the
+// build form the unclustered tail).
 func TestPartsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4041))
 	for _, tc := range []struct {
-		name string
-		n    int
-		ivf  bool
+		name    string
+		n, tail int
+		ivf     bool
 	}{
-		{"flat", 400, false},
-		{"ivf", 1200, true},
+		{"flat", 400, 0, false},
+		{"ivf", 1200, 0, true},
+		{"ivf-prefix", 1200, 150, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := clusteredMatrix(rng, tc.n, 12, 7, 0.08)
 			// A zero row and duplicate rows to exercise ties and scale-0.
 			copy(raw.Row(1), make([]float64, 12))
 			copy(raw.Row(2), raw.Row(3))
-			orig := NewEngine(raw)
+			head := tc.n - tc.tail
+			orig := NewEngine(raw.Slice(0, head, 0, 12))
 			if tc.ivf {
-				orig = orig.BuildIVF(IVFConfig{MinRows: 1})
+				orig = orig.BuildIVF(IVFConfig{MinRows: 1, NProbe: 2})
+			}
+			if tc.tail > 0 {
+				orig = orig.Extend(raw.Slice(head, tc.n, 0, 12))
 			}
 
-			p := orig.Parts()
-			restored, err := EngineFromParts(rebuildDocs(raw), p)
-			if err != nil {
-				t.Fatalf("EngineFromParts: %v", err)
+			restored := NewEngine(raw)
+			if p := orig.Parts().IVF; p != nil {
+				var err error
+				if restored, err = restored.IVFFromParts(p, IVFConfig{MinRows: 1, NProbe: 2}); err != nil {
+					t.Fatalf("IVFFromParts: %v", err)
+				}
 			}
-			if restored.Screening() != orig.Screening() ||
-				restored.Int8Screening() != orig.Int8Screening() ||
-				(restored.ivf != nil) != (orig.ivf != nil) {
-				t.Fatalf("tier flags changed across round trip")
+			if (restored.ivf != nil) != tc.ivf {
+				t.Fatalf("restored index present = %v, want %v", restored.ivf != nil, tc.ivf)
 			}
+			partsBitEqual(t, tc.name, restored, orig)
 			restored.checkMirror() // panics on any mirror drift
 
 			skip := NewSkip(tc.n)
@@ -74,65 +70,64 @@ func TestPartsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartsRejectsCorrupt pins the structural validation: mangled
-// sections must fail EngineFromParts/IVFFromParts loudly, never build a
-// silently wrong engine.
+// TestIVFFromPartsFollowsConfig: the attach takes the probe budget and
+// the build floor from its config, as BuildIVF does, and leaves an
+// exact-only engine without an index.
+func TestIVFFromPartsFollowsConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	raw := clusteredMatrix(rng, 500, 8, 5, 0.1)
+	p := NewEngine(raw).BuildIVF(IVFConfig{MinRows: 1}).Parts().IVF
+	if got, err := NewEngine(raw).IVFFromParts(p, IVFConfig{MinRows: 1, NProbe: 3}); err != nil || got.nprobe() != 3 {
+		t.Fatalf("probe budget not taken from the config: nprobe %d, %v", got.nprobe(), err)
+	}
+	if got, err := NewEngine(raw).IVFFromParts(p, IVFConfig{MinRows: 501}); err != nil || got.ivf != nil {
+		t.Fatalf("index attached below the build floor (%v)", err)
+	}
+	if got, err := NewEngineExact(raw).IVFFromParts(p, IVFConfig{MinRows: 1}); err != nil || got.ivf != nil {
+		t.Fatalf("index attached to an exact-only engine (%v)", err)
+	}
+}
+
+// TestPartsRejectsCorrupt pins the membership validation: a mangled
+// partition must fail IVFFromParts loudly, never build a silently wrong
+// index — and it is checked even where no index would be attached.
 func TestPartsRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	raw := clusteredMatrix(rng, 600, 10, 5, 0.1)
 	orig := NewEngine(raw).BuildIVF(IVFConfig{MinRows: 1})
-	docs := rebuildDocs(raw)
 
 	mangle := []struct {
 		name string
-		f    func(p *Parts)
+		f    func(p *IVFParts)
 	}{
-		{"mirror-short", func(p *Parts) { p.Mirror = p.Mirror[:len(p.Mirror)-1] }},
-		{"eps-short", func(p *Parts) { p.Eps = p.Eps[:10] }},
-		{"q8-short", func(p *Parts) { p.Q8 = p.Q8[:len(p.Q8)-3] }},
-		{"scale-short", func(p *Parts) { p.Scale = p.Scale[:1] }},
-		{"q8-no-mirror", func(p *Parts) { p.Mirror = nil }},
-		{"rows-wrong", func(p *Parts) { p.Rows-- }},
-		{"ivf-dim", func(p *Parts) { p.IVF.Dim++ }},
-		{"ivf-member-dup", func(p *Parts) { p.IVF.Members[0] = p.IVF.Members[1] }},
-		{"ivf-member-oob", func(p *Parts) { p.IVF.Members[0] = int32(p.Rows) }},
-		{"ivf-member-neg", func(p *Parts) { p.IVF.Members[0] = -1 }},
-		{"ivf-count-over", func(p *Parts) { p.IVF.MemberCounts[0]++ }},
-		{"ivf-count-under", func(p *Parts) { p.IVF.MemberCounts[0]-- }},
-		{"ivf-radius-neg", func(p *Parts) { p.IVF.Radius[0] = -1 }},
-		{"ivf-cents-short", func(p *Parts) { p.IVF.Cents = p.IVF.Cents[:3] }},
+		{"rows-wrong", func(p *IVFParts) { p.Rows++ }},
+		{"ivf-dim", func(p *IVFParts) { p.Dim++ }},
+		{"ivf-member-dup", func(p *IVFParts) { p.Members[0] = p.Members[1] }},
+		{"ivf-member-oob", func(p *IVFParts) { p.Members[0] = int32(p.Rows) }},
+		{"ivf-member-neg", func(p *IVFParts) { p.Members[0] = -1 }},
+		{"ivf-count-over", func(p *IVFParts) { p.MemberCounts[0]++ }},
+		{"ivf-count-under", func(p *IVFParts) { p.MemberCounts[0]-- }},
 	}
-	// Parts() hands out views of the engine's own arrays, so each mangle
-	// works on a deep copy — writing through a view would corrupt orig.
-	clone := func() *Parts {
-		p := orig.Parts()
-		c := *p
-		c.Mirror = append([]float32(nil), p.Mirror...)
-		c.Eps = append([]float64(nil), p.Eps...)
-		c.Q8 = append([]int8(nil), p.Q8...)
-		c.Scale = append([]float64(nil), p.Scale...)
-		c.Eps8 = append([]float64(nil), p.Eps8...)
-		if p.IVF != nil {
-			iv := *p.IVF
-			iv.Cents = append([]float64(nil), p.IVF.Cents...)
-			iv.Radius = append([]float64(nil), p.IVF.Radius...)
-			iv.MemberCounts = append([]int32(nil), p.IVF.MemberCounts...)
-			iv.Members = append([]int32(nil), p.IVF.Members...)
-			c.IVF = &iv
-		}
-		return &c
+	// Each mangle works on its own copy of the membership.
+	clone := func() *IVFParts {
+		p := *orig.Parts().IVF
+		p.MemberCounts = append([]int32(nil), p.MemberCounts...)
+		p.Members = append([]int32(nil), p.Members...)
+		return &p
 	}
 	for _, m := range mangle {
 		t.Run(m.name, func(t *testing.T) {
 			p := clone()
 			m.f(p)
-			if _, err := EngineFromParts(docs, p); err == nil {
-				t.Fatalf("corruption %q accepted", m.name)
+			for _, e := range []*Engine{NewEngine(raw), NewEngineExact(raw)} {
+				if _, err := e.IVFFromParts(p, IVFConfig{MinRows: 1}); err == nil {
+					t.Fatalf("corruption %q accepted (screening %v)", m.name, e.Screening())
+				}
 			}
 		})
 	}
 	// And the unmangled control still loads.
-	if _, err := EngineFromParts(docs, orig.Parts()); err != nil {
+	if _, err := NewEngine(raw).IVFFromParts(orig.Parts().IVF, IVFConfig{MinRows: 1}); err != nil {
 		t.Fatalf("control failed: %v", err)
 	}
 }

@@ -311,7 +311,8 @@ func TestEngineExtendSiblingsDoNotAlias(t *testing.T) {
 }
 
 // partsBitEqual fails unless two engines' derived arrays — the float32
-// mirror, the int8 tier and every residual and bound — are bit-identical.
+// mirror, the int8 tier, every residual and bound, and the cluster
+// index's cells, centroids and radii — are bit-identical.
 func partsBitEqual(t *testing.T, label string, got, want *Engine) {
 	t.Helper()
 	g, w := got.Parts(), want.Parts()
@@ -343,13 +344,26 @@ func partsBitEqual(t *testing.T, label string, got, want *Engine) {
 	if !reflect.DeepEqual(g.Q8, w.Q8) {
 		t.Fatalf("%s: int8 tier differs", label)
 	}
+	if (g.IVF == nil) != (w.IVF == nil) {
+		t.Fatalf("%s: index present = %v, want %v", label, g.IVF != nil, w.IVF != nil)
+	}
+	if g.IVF != nil {
+		f64("ivf cents", g.IVF.Cents, w.IVF.Cents)
+		f64("ivf radius", g.IVF.Radius, w.IVF.Radius)
+		gi, wi := *g.IVF, *w.IVF
+		gi.Cents, gi.Radius, wi.Cents, wi.Radius = nil, nil, nil, nil
+		if !reflect.DeepEqual(gi, wi) {
+			t.Fatalf("%s: index differs\ngot  %+v\nwant %+v", label, gi, wi)
+		}
+	}
 }
 
 // TestEngineExtendCopyPathMatchesBuild pins the copy path of Extend: it
 // copies the old rows' mirror, int8 rows, residuals and bounds instead of
 // deriving them again, so the result must be bit-identical to NewEngine
 // over the same rows — from a freshly built parent, from a sibling that
-// lost the claim, and from an engine reassembled from its parts, with a
+// lost the claim, and from an engine rebuilt from its rows with a saved
+// cell membership attached (whose index Extend carries along), with a
 // zero row and a subnormal-norm row among the new rows and the rows of
 // largest residual (which set maxEps and maxEps8) among the old ones.
 func TestEngineExtendCopyPathMatchesBuild(t *testing.T) {
@@ -392,8 +406,8 @@ func TestEngineExtendCopyPathMatchesBuild(t *testing.T) {
 	if &winner.docs.Data[0] != &parent.docs.Data[0] || &loser.docs.Data[0] == &parent.docs.Data[0] {
 		t.Fatal("expected one claiming sibling and one copying sibling")
 	}
-	src := NewEngine(all.Slice(0, 50, 0, dim))
-	restored, err := EngineFromParts(src.docs.Clone(), src.Parts())
+	src := NewEngine(all.Slice(0, 50, 0, dim)).BuildIVF(IVFConfig{MinRows: 1})
+	restored, err := NewEngine(all.Slice(0, 50, 0, dim)).IVFFromParts(src.Parts().IVF, IVFConfig{MinRows: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +416,17 @@ func TestEngineExtendCopyPathMatchesBuild(t *testing.T) {
 	for _, c := range []struct {
 		label string
 		e     *Engine
-	}{{"fresh parent", fresh}, {"losing sibling", loser}, {"restored parent", fromParts}} {
+		want  *Engine
+	}{
+		{"fresh parent", fresh, want},
+		{"losing sibling", loser, want},
+		{"restored parent", fromParts, want.WithIVFIndex(src.ivf)},
+	} {
 		if !c.e.Int8Screening() {
 			t.Fatalf("%s: lost its int8 tier", c.label)
 		}
 		checkMirrorBitEqual(t, c.e)
-		partsBitEqual(t, c.label, c.e, want)
+		partsBitEqual(t, c.label, c.e, c.want)
 	}
 	// An exact-only engine stays exact-only along the copy path.
 	if ex := NewEngineExact(all.Slice(0, 50, 0, dim)).Extend(all.Slice(50, 90, 0, dim)); ex.Screening() {

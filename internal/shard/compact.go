@@ -38,6 +38,7 @@ package shard
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -417,11 +418,19 @@ func (r *Router) startMonitor() {
 
 // monitor is the system's one compaction trigger: each tick it compacts
 // when tombstones are waiting to be folded out or the global
-// orthogonality loss has crossed Engine.CompactThreshold.
+// orthogonality loss has crossed Engine.CompactThreshold. The loss is
+// re-evaluated only when some shard published since the last
+// evaluation: snapshots are immutable and every publish advances its
+// shard's generation, so an unchanged generation vector has an unchanged
+// loss, and an idle tier pays no Gram per tick. (The vector is kept
+// rather than the snapshots, which would pin a superseded generation's
+// arrays.)
 func (r *Router) monitor() {
 	defer close(r.monitorDone)
 	ticker := time.NewTicker(r.checkInterval())
 	defer ticker.Stop()
+	var lastGens []uint64
+	var lastLoss float64
 	for {
 		select {
 		case <-r.monitorStop:
@@ -440,8 +449,14 @@ func (r *Router) monitor() {
 			if !needDead && folded == 0 {
 				continue
 			}
-			if !needDead && r.orthogonality(snaps) <= r.cfg.Engine.CompactThreshold {
-				continue
+			if !needDead {
+				if gens := generations(snaps); !slices.Equal(gens, lastGens) {
+					lastGens, lastLoss = gens, r.orthogonality(snaps)
+					r.monitorEvals.Add(1)
+				}
+				if lastLoss <= r.cfg.Engine.CompactThreshold {
+					continue
+				}
 			}
 			if err := r.Compact(); err != nil {
 				r.cfg.Logf("shard: coordinated compaction failed: %v", err)

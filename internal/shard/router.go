@@ -152,6 +152,9 @@ type Router struct {
 
 	monitorStop chan struct{}
 	monitorDone chan struct{}
+	// monitorEvals counts the monitor's orthogonality evaluations (read by
+	// tests: an idle tier must not re-evaluate).
+	monitorEvals atomic.Int64
 }
 
 // idEntry is the registry record for one live document: its global

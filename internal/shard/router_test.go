@@ -322,6 +322,42 @@ func TestRouterMonitorCompacts(t *testing.T) {
 	}
 }
 
+// TestRouterMonitorIdleEvaluatesOnce: below the threshold an idle tier's
+// loss cannot change, so across well over 50 idle monitor ticks the
+// global Gram is evaluated once — not once per tick.
+func TestRouterMonitorIdleEvaluatesOnce(t *testing.T) {
+	coll, model, _ := synthFixture(t, 360, 8)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r, err := New(coll, model, Config{
+				Shards:       shards,
+				Engine:       engine.Config{BatchTick: time.Millisecond, CompactThreshold: 0.05},
+				CompactCheck: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeRouter(t, r)
+			if _, _, err := r.Submit(context.Background(), corpus.Document{ID: "folded", Text: coll.Docs[0].Text}); err != nil {
+				t.Fatal(err)
+			}
+			if loss := r.Orthogonality(); loss <= 0 || loss > 0.05 {
+				t.Fatalf("fixture: one fold-in gives loss %v, want it in (0, 0.05]", loss)
+			}
+			// The first tick after the fold-in evaluates; the next ≈ 150
+			// ticks of 1 ms see the same generation vector.
+			waitRouter(t, r, "the monitor's first evaluation", func(Stats) bool { return r.monitorEvals.Load() >= 1 })
+			time.Sleep(150 * time.Millisecond)
+			if n := r.monitorEvals.Load(); n != 1 {
+				t.Fatalf("monitor evaluated the loss %d times over an idle stretch, want 1", n)
+			}
+			if st := r.Stats(); st.Compactions != 0 || st.FoldedDocuments != 1 {
+				t.Fatalf("idle tier changed: %d compactions, %d folded", st.Compactions, st.FoldedDocuments)
+			}
+		})
+	}
+}
+
 // waitRouter spins until pred accepts the router's stats.
 func waitRouter(t *testing.T, r *Router, what string, pred func(Stats) bool) {
 	t.Helper()

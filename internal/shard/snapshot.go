@@ -1,18 +1,21 @@
 // Persistent snapshots of the whole serving tier: SaveSnapshot writes
-// one snapfile container holding every shard's model, scoring-cache
-// arrays and registry state; Restore reassembles a Router from it
-// without recomputing an SVD, a mirror, a quantized tier or a cluster
-// index — the -load-model path, whose startup cost is O(header + JSON
-// state), not O(corpus).
+// one snapfile container holding every shard's state; Restore rebuilds a
+// Router from it without recomputing an SVD or re-running k-means — the
+// -load-model path.
 //
-// What is saved per shard: the LSI model (U, Σ, V, global weights), the
-// document list with global submission ordinals, tombstoned rows, the
-// generation and auto-ID counters, and the rank engine's derived arrays
-// (float32 mirror, int8 tier, residuals, IVF index) via rank.Parts.
-// What is deliberately NOT saved: the float64 normalized document cache
-// (renormalized from V at load — bit-identical and cheaper than paging
-// 8 bytes/coordinate), and the term–document count matrix (the serving
-// path never reads it; queries and fold-ins only need the vocabulary).
+// What is saved per shard is state, not caches: the LSI model (U, Σ, V,
+// global weights), the document list with global submission ordinals,
+// tombstoned rows, the generation and auto-ID counters, and the cluster
+// index's cell membership. Every scoring tier — the normalized float64
+// cache, the float32 mirror, the int8 tier, their residuals — and every
+// cell's centroid and radius are functions of V, so Restore derives them
+// as a fresh build does, under the restoring process's own tier
+// settings; the derivations are scalar Go, so the restored arrays are
+// bit-identical to the saved engine's on every host. The membership is
+// the one part of the index that cannot be derived: k-means runs on the
+// host-dependent float32 kernels. The term–document count matrix is not
+// saved either (the serving path never reads it; queries and fold-ins
+// only need the vocabulary).
 //
 // Save runs a coordinated compaction first (best-effort), so the
 // persisted bases are pure SVD wherever feasible and a restored router
@@ -33,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dense"
 	"repro/internal/engine"
 	"repro/internal/rank"
 	"repro/internal/snapfile"
@@ -41,8 +43,9 @@ import (
 )
 
 // snapshotVersion is the router-snapshot layout version, independent of
-// the container format version (snapfile.Version).
-const snapshotVersion = 1
+// the container format version (snapfile.Version). Version 1 also
+// stored the scoring tiers and cell bounds; it is not read.
+const snapshotVersion = 2
 
 // maxSnapshotShards keeps every section name within snapfile's 16-byte
 // limit ("s999/members" is the longest stem).
@@ -110,30 +113,22 @@ type savedDoc struct {
 }
 
 // shardState is the JSON "s<i>/state" section: the per-shard counters
-// and the shapes of the binary rank/IVF sections.
+// and the shape of the binary membership sections.
 type shardState struct {
-	Gen    uint64 `json:"gen"`
-	NextID int    `json:"nextID"`
-	Dead   []int  `json:"dead,omitempty"`
-	Rank   struct {
-		Rows      int     `json:"rows"`
-		Cols      int     `json:"cols"`
-		MaxEps    float64 `json:"maxEps"`
-		MaxEps8   float64 `json:"maxEps8"`
-		HasMirror bool    `json:"hasMirror"`
-		HasQ8     bool    `json:"hasQ8"`
-	} `json:"rank"`
-	IVF *ivfState `json:"ivf,omitempty"`
+	Gen    uint64    `json:"gen"`
+	NextID int       `json:"nextID"`
+	Dead   []int     `json:"dead,omitempty"`
+	IVF    *ivfState `json:"ivf,omitempty"`
 }
 
-// ivfState is the IVF index's record in shardState. Placed is the count
-// of rows compactions placed by nearest centroid since the index's k-means
-// build; it feeds the rebuild trigger, so it travels with the index.
-// Omitted when zero, so a fresh tier's state is unchanged by it.
+// ivfState is the cluster index's record in shardState: the clustered
+// row prefix and width its membership sections describe, and the count
+// of rows compactions placed by nearest centroid since the index's
+// k-means build (it feeds the rebuild trigger, so it travels with the
+// membership; omitted when zero).
 type ivfState struct {
 	Rows   int `json:"rows"`
 	Dim    int `json:"dim"`
-	NProbe int `json:"nprobe"`
 	Placed int `json:"placed,omitempty"`
 }
 
@@ -151,7 +146,7 @@ func (r *Router) SaveSnapshot(path string) error {
 	if err := r.Compact(); err != nil && !errors.Is(err, engine.ErrNoBase) {
 		return fmt.Errorf("shard: pre-save compaction: %w", err)
 	}
-	sections := make([]snapfile.Section, 0, 2+14*len(r.shards))
+	sections := make([]snapfile.Section, 0, 2+8*len(r.shards))
 	meta := routerMeta{
 		Version:  snapshotVersion,
 		Shards:   len(r.shards),
@@ -212,12 +207,9 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 	if err != nil {
 		return nil, err
 	}
-	p := snap.Eng.Parts()
-	st.Rank.Rows, st.Rank.Cols = p.Rows, p.Cols
-	st.Rank.MaxEps, st.Rank.MaxEps8 = p.MaxEps, p.MaxEps8
-	st.Rank.HasMirror, st.Rank.HasQ8 = p.Mirror != nil, p.Q8 != nil
-	if p.IVF != nil {
-		st.IVF = &ivfState{Rows: p.IVF.Rows, Dim: p.IVF.Dim, NProbe: p.IVF.NProbe, Placed: p.IVF.Placed}
+	ivf := snap.Eng.Parts().IVF
+	if ivf != nil {
+		st.IVF = &ivfState{Rows: ivf.Rows, Dim: ivf.Dim, Placed: ivf.Placed}
 	}
 	stateRaw, err := json.Marshal(&st)
 	if err != nil {
@@ -231,45 +223,37 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 		{Name: prefix + "state", Data: stateRaw},
 		{Name: prefix + "docs", Data: docsRaw},
 	}, model...)
-	if p.Mirror != nil {
+	if ivf != nil {
 		sections = append(sections,
-			snapfile.Section{Name: prefix + "mirror", Data: snapfile.F32Bytes(p.Mirror)},
-			snapfile.Section{Name: prefix + "eps", Data: snapfile.F64Bytes(p.Eps)})
-	}
-	if p.Q8 != nil {
-		sections = append(sections,
-			snapfile.Section{Name: prefix + "q8", Data: snapfile.I8Bytes(p.Q8)},
-			snapfile.Section{Name: prefix + "scale", Data: snapfile.F64Bytes(p.Scale)},
-			snapfile.Section{Name: prefix + "eps8", Data: snapfile.F64Bytes(p.Eps8)})
-	}
-	if p.IVF != nil {
-		sections = append(sections,
-			snapfile.Section{Name: prefix + "cents", Data: snapfile.F64Bytes(p.IVF.Cents)},
-			snapfile.Section{Name: prefix + "radius", Data: snapfile.F64Bytes(p.IVF.Radius)},
-			snapfile.Section{Name: prefix + "counts", Data: snapfile.I32Bytes(p.IVF.MemberCounts)},
-			snapfile.Section{Name: prefix + "members", Data: snapfile.I32Bytes(p.IVF.Members)})
+			snapfile.Section{Name: prefix + "counts", Data: snapfile.I32Bytes(ivf.MemberCounts)},
+			snapfile.Section{Name: prefix + "members", Data: snapfile.I32Bytes(ivf.Members)})
 	}
 	return sections, nil
 }
 
-// Restore reassembles a Router from a SaveSnapshot container. cfg is
-// the runtime configuration (engine knobs, compaction threshold);
-// cfg.Shards must be zero (accept the saved count) or equal to it —
-// document placement is shard-count-dependent, so restoring onto a
-// different count would strand documents on the wrong shards.
+// Restore rebuilds a Router from a SaveSnapshot container. cfg is the
+// runtime configuration (engine knobs, compaction threshold); cfg.Shards
+// must be zero (accept the saved count) or equal to it — document
+// placement is shard-count-dependent, so restoring onto a different
+// count would strand documents on the wrong shards.
 //
-// The returned snapfile.File backs the restored engines' mirror,
-// quantized-tier and factor arrays (memory-mapped where the platform
-// supports it — cold rows page in on first touch). It must stay open
-// for the router's lifetime; closing it unmaps memory the engines are
-// still reading.
+// Each shard's scoring cache is built from its model's V exactly as a
+// fresh build builds it, so cfg.Engine's DisableScreening, DisableIVF,
+// IVFNProbe and IVFMinRows apply to the restored tier as they would to a
+// build; the saved cell membership stands in for k-means wherever the
+// build would cluster. That derivation is O(n·k) per shard (≈ 10 ms at
+// 12 000×64), beside the O(n) decoding of the document JSON.
 //
-// verify=false is the O(1) path: the container header and section table
-// are checksummed, payloads are validated structurally (shapes, index
-// ranges, finiteness of the scalars load-bearing for correctness) but
-// not re-hashed. verify=true additionally CRC-checks every payload,
-// which reads the whole file — linear in corpus size, for operators who
-// want bit-rot detection over instant startup.
+// The returned snapfile.File backs the restored models' factor arrays
+// (memory-mapped where the platform supports it — cold rows page in on
+// first touch). It must stay open for the router's lifetime; closing it
+// unmaps memory the models are still reading.
+//
+// verify=false checks the container header and section table and
+// validates payloads structurally (shapes, index ranges, the cell
+// partition, finiteness of the singular values) without re-hashing
+// them. verify=true additionally CRC-checks every payload, which reads
+// the whole file — for operators who want bit-rot detection.
 func Restore(path string, cfg Config, verify bool) (*Router, *snapfile.File, error) {
 	f, err := snapfile.Open(path)
 	if err != nil {
@@ -305,15 +289,12 @@ func snapJSON(f *snapfile.File, name string, v any) error {
 	return nil
 }
 
-func snapF64(f *snapfile.File, name string, want int) ([]float64, error) {
+func snapI32(f *snapfile.File, name string) ([]int32, error) {
 	b, ok := f.Section(name)
 	if !ok {
 		return nil, fmt.Errorf("shard: snapshot missing section %q", name)
 	}
-	xs, err := snapfile.F64(b)
-	if err == nil && len(xs) != want {
-		err = fmt.Errorf("%d values, state says %d", len(xs), want)
-	}
+	xs, err := snapfile.I32(b)
 	if err != nil {
 		return nil, fmt.Errorf("shard: section %q: %w", name, err)
 	}
@@ -372,11 +353,11 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// restoreShard rebuilds one shard: model sections attach (mmap views),
-// the normalized float64 cache is recomputed from V — the one array
-// cheaper to rebuild than to store — the rank tiers attach as views,
-// and the engine resumes with its persisted counters. Registry entries
-// for the shard's live documents are seeded as a side effect.
+// restoreShard rebuilds one shard: the model sections attach (mmap
+// views), engine.New derives the scoring cache from V as for a fresh
+// build and certifies the saved cell membership, and the engine resumes
+// with its persisted counters. Registry entries for the shard's live
+// documents are seeded as a side effect.
 func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 	opts text.ParseOptions, engCfg engine.Config) (*engine.Engine, error) {
 	prefix := fmt.Sprintf("s%d/", s)
@@ -394,10 +375,6 @@ func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 	}
 	if model.NumDocs() != len(saved) {
 		return nil, fmt.Errorf("model has %d rows, docs section %d", model.NumDocs(), len(saved))
-	}
-	if st.Rank.Rows != model.NumDocs() || st.Rank.Cols != model.K {
-		return nil, fmt.Errorf("rank state %dx%d does not match model %dx%d",
-			st.Rank.Rows, st.Rank.Cols, model.NumDocs(), model.K)
 	}
 
 	docs := make([]corpus.Document, len(saved))
@@ -421,78 +398,18 @@ func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 		}
 	}
 
-	// The normalized float64 cache: unit-normalize a private clone of V —
-	// the exact operation rank.NewEngine performed originally, so the
-	// restored rows are bit-identical to the saved engine's.
-	norm := model.V.Clone()
-	for i := 0; i < norm.Rows; i++ {
-		dense.Normalize(norm.Row(i))
-	}
-
-	parts := &rank.Parts{Rows: st.Rank.Rows, Cols: st.Rank.Cols,
-		MaxEps: st.Rank.MaxEps, MaxEps8: st.Rank.MaxEps8}
-	n := st.Rank.Rows * st.Rank.Cols
-	if st.Rank.HasMirror {
-		b, ok := f.Section(prefix + "mirror")
-		if !ok {
-			return nil, fmt.Errorf("missing section %q", prefix+"mirror")
-		}
-		if parts.Mirror, err = snapfile.F32(b); err != nil || len(parts.Mirror) != n {
-			return nil, fmt.Errorf("section %q: %d values, want %d (%v)", prefix+"mirror", len(parts.Mirror), n, err)
-		}
-		if parts.Eps, err = snapF64(f, prefix+"eps", st.Rank.Rows); err != nil {
-			return nil, err
-		}
-	}
-	if st.Rank.HasQ8 {
-		b, ok := f.Section(prefix + "q8")
-		if !ok {
-			return nil, fmt.Errorf("missing section %q", prefix+"q8")
-		}
-		if parts.Q8 = snapfile.I8(b); len(parts.Q8) != n {
-			return nil, fmt.Errorf("section %q: %d values, want %d", prefix+"q8", len(parts.Q8), n)
-		}
-		if parts.Scale, err = snapF64(f, prefix+"scale", st.Rank.Rows); err != nil {
-			return nil, err
-		}
-		if parts.Eps8, err = snapF64(f, prefix+"eps8", st.Rank.Rows); err != nil {
-			return nil, err
-		}
-	}
 	if st.IVF != nil {
-		b, ok := f.Section(prefix + "counts")
-		if !ok {
-			return nil, fmt.Errorf("missing section %q", prefix+"counts")
-		}
-		counts, err := snapfile.I32(b)
-		if err != nil {
-			return nil, fmt.Errorf("section %q: %w", prefix+"counts", err)
-		}
-		mb, ok := f.Section(prefix + "members")
-		if !ok {
-			return nil, fmt.Errorf("missing section %q", prefix+"members")
-		}
-		members, err := snapfile.I32(mb)
-		if err != nil {
-			return nil, fmt.Errorf("section %q: %w", prefix+"members", err)
-		}
-		cents, err := snapF64(f, prefix+"cents", len(counts)*st.IVF.Dim)
+		counts, err := snapI32(f, prefix+"counts")
 		if err != nil {
 			return nil, err
 		}
-		radius, err := snapF64(f, prefix+"radius", len(counts))
+		members, err := snapI32(f, prefix+"members")
 		if err != nil {
 			return nil, err
 		}
-		parts.IVF = &rank.IVFParts{Rows: st.IVF.Rows, Dim: st.IVF.Dim, NProbe: st.IVF.NProbe,
-			Cents: cents, Radius: radius, MemberCounts: counts, Members: members, Placed: st.IVF.Placed}
+		engCfg.RestoredIVF = &rank.IVFParts{Rows: st.IVF.Rows, Dim: st.IVF.Dim,
+			MemberCounts: counts, Members: members, Placed: st.IVF.Placed}
 	}
-	prebuilt, err := rank.EngineFromParts(norm, parts)
-	if err != nil {
-		return nil, err
-	}
-
-	engCfg.Prebuilt = prebuilt
 	engCfg.InitialGen = st.Gen
 	engCfg.RestoredDead = st.Dead
 	engCfg.RestoredNextID = st.NextID

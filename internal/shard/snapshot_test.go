@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -268,11 +269,13 @@ func TestRestoreDeadRows(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorrupt: structural damage fails the O(1) open;
-// payload bit-rot fails the verify=true open.
+// TestRestoreRejectsCorrupt: structural damage — a cut or inconsistent
+// cell membership, an older layout version — fails the verify=false
+// open; payload bit-rot fails the verify=true open. The tier is saved
+// with a cluster index (IVFMinRows 1) so the membership sections exist.
 func TestRestoreRejectsCorrupt(t *testing.T) {
 	coll, model, _ := synthFixture(t, 40, 6)
-	r, err := New(coll, model, Config{Shards: 2, Engine: engine.Config{BatchTick: time.Millisecond}})
+	r, err := New(coll, model, Config{Shards: 2, Engine: engine.Config{BatchTick: time.Millisecond, IVFMinRows: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,26 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		mangle  func([]byte) []byte
 		verify  bool
 	}{
-		{"truncated-mirror", "s0/mirror", func(b []byte) []byte { return b[:len(b)-8] }, false},
+		{"truncated-members", "s0/members", func(b []byte) []byte { return b[:len(b)-8] }, false},
+		{"members-duplicate", "s0/members", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			copy(out[:4], out[4:8]) // row of entry 1 listed twice
+			return out
+		}, false},
+		{"counts-overrun", "s0/counts", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			binary.LittleEndian.PutUint32(out, binary.LittleEndian.Uint32(out)+1)
+			return out
+		}, false},
+		{"version-1", "meta", func(b []byte) []byte {
+			var meta map[string]any
+			if err := json.Unmarshal(b, &meta); err != nil {
+				t.Fatal(err)
+			}
+			meta["version"] = 1
+			out, _ := json.Marshal(meta)
+			return out
+		}, false},
 		{"dead-row-oob", "s0/state", func(b []byte) []byte {
 			var st shardState
 			if err := json.Unmarshal(b, &st); err != nil {
@@ -307,7 +329,7 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 			out, _ := json.Marshal(docs)
 			return out
 		}, false},
-		{"bit-rot", "s1/q8", func(b []byte) []byte {
+		{"bit-rot", "s1/V", func(b []byte) []byte {
 			out := append([]byte(nil), b...)
 			out[len(out)/2] ^= 0x01
 			return out
@@ -329,12 +351,16 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.Close()
-				flipPayloadByte(t, bad, "s1/q8")
+				flipPayloadByte(t, bad, "s1/V")
 			}
-			if r2, f, err := Restore(bad, Config{}, tc.verify); err == nil {
+			r2, f, err := Restore(bad, Config{}, tc.verify)
+			if err == nil {
 				closeRouter(t, r2)
 				f.Close()
 				t.Fatal("corrupt snapshot accepted")
+			}
+			if tc.name == "version-1" && !strings.Contains(err.Error(), "version 1, this binary reads 2") {
+				t.Fatalf("version-1 file rejected with %q", err)
 			}
 		})
 	}

@@ -24,8 +24,6 @@ func TestRoundTrip(t *testing.T) {
 		{Name: "meta", Data: []byte(`{"k":12}`)},
 		{Name: "empty", Data: nil},
 		{Name: "S", Data: F64Bytes([]float64{3.5, 1.25, 0.5})},
-		{Name: "q8", Data: I8Bytes([]int8{-127, 0, 127, 5})},
-		{Name: "mirror", Data: F32Bytes([]float32{1, -2.5, 3})},
 		{Name: "members", Data: I32Bytes([]int32{7, -9, 1 << 20})},
 	}
 	path := filepath.Join(t.TempDir(), "snap.lsnp")
@@ -59,14 +57,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || len(fs) != 3 || fs[0] != 3.5 {
 		t.Fatalf("F64 view = %v, %v", fs, err)
 	}
-	q8 := I8(mustSection(t, f, "q8"))
-	if len(q8) != 4 || q8[0] != -127 || q8[2] != 127 {
-		t.Fatalf("I8 view = %v", q8)
-	}
-	m32, err := F32(mustSection(t, f, "mirror"))
-	if err != nil || m32[1] != -2.5 {
-		t.Fatalf("F32 view = %v, %v", m32, err)
-	}
 	ms, err := I32(mustSection(t, f, "members"))
 	if err != nil || ms[2] != 1<<20 {
 		t.Fatalf("I32 view = %v, %v", ms, err)
@@ -79,11 +69,11 @@ func TestRoundTrip(t *testing.T) {
 // current format version.
 func seedCorpusBytes(t testing.TB) []byte {
 	blob := encodeOrDie(t, []Section{
-		{Name: "meta", Data: []byte(`{"version":1,"shards":2}`)},
+		{Name: "meta", Data: []byte(`{"version":2,"shards":2}`)},
 		{Name: "s0/S", Data: F64Bytes([]float64{9.5, 4.25, 1.0625})},
-		{Name: "s0/rank/q8", Data: I8Bytes([]int8{-127, -1, 0, 1, 127, 42})},
-		{Name: "s0/rank/mirror", Data: F32Bytes([]float32{0.5, -0.25, 0.125})},
-		{Name: "s0/ivf/members", Data: I32Bytes([]int32{0, 1, 2, 3})},
+		{Name: "s0/V", Data: F64Bytes([]float64{0.5, -0.25, 0.125, 1})},
+		{Name: "s0/counts", Data: I32Bytes([]int32{3, 1})},
+		{Name: "s0/members", Data: I32Bytes([]int32{0, 1, 2, 3})},
 	})
 	path := filepath.Join("testdata", "seed.lsnp")
 	if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, blob) {
@@ -198,7 +188,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	f.Add(encodeOrDie(f, []Section{
 		{Name: "meta", Data: []byte(`{"v":1}`)},
 		{Name: "S", Data: F64Bytes([]float64{2.5, 0.125})},
-		{Name: "q8", Data: I8Bytes([]int8{-3, 4, 5})},
+		{Name: "counts", Data: I32Bytes([]int32{-3, 4, 5})},
 	}))
 	f.Add(encodeOrDie(f, nil))
 	f.Add(encodeOrDie(f, []Section{{Name: "only", Data: bytes.Repeat([]byte{0xAB}, 200)}}))

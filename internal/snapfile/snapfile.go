@@ -14,8 +14,8 @@
 //
 // Alignment contract: every payload starts at a 64-byte offset within
 // the file. An mmap base is page-aligned, so mapped sections are
-// 64-byte aligned in memory and the typed view helpers (F64, F32, I32,
-// I8) can alias the mapping without copying on little-endian hosts.
+// 64-byte aligned in memory and the typed view helpers (F64, I32) can
+// alias the mapping without copying on little-endian hosts.
 // The read-file fallback and big-endian hosts decode into fresh slices
 // instead — same values, no aliasing assumptions.
 package snapfile
@@ -322,24 +322,6 @@ func F64(b []byte) ([]float64, error) {
 	return out, nil
 }
 
-// F32 views a section as float32s (zero-copy when aligned + LE host).
-func F32(b []byte) ([]float32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("snapfile: %d bytes is not a float32 payload", len(b))
-	}
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if aliasable(b, 4) {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), nil
-	}
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
-}
-
 // I32 views a section as int32s (zero-copy when aligned + LE host).
 func I32(b []byte) ([]int32, error) {
 	if len(b)%4 != 0 {
@@ -358,15 +340,6 @@ func I32(b []byte) ([]int32, error) {
 	return out, nil
 }
 
-// I8 views a section as int8s — always zero-copy (single-byte elements
-// have no endianness or alignment).
-func I8(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
-}
-
 // F64Bytes encodes float64s little-endian — the writer-side dual of F64.
 func F64Bytes(xs []float64) []byte {
 	out := make([]byte, 8*len(xs))
@@ -376,29 +349,11 @@ func F64Bytes(xs []float64) []byte {
 	return out
 }
 
-// F32Bytes encodes float32s little-endian.
-func F32Bytes(xs []float32) []byte {
-	out := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(x))
-	}
-	return out
-}
-
 // I32Bytes encodes int32s little-endian.
 func I32Bytes(xs []int32) []byte {
 	out := make([]byte, 4*len(xs))
 	for i, x := range xs {
 		binary.LittleEndian.PutUint32(out[i*4:], uint32(x))
-	}
-	return out
-}
-
-// I8Bytes encodes int8s (byte-for-byte).
-func I8Bytes(xs []int8) []byte {
-	out := make([]byte, len(xs))
-	for i, x := range xs {
-		out[i] = byte(x)
 	}
 	return out
 }
