@@ -96,13 +96,15 @@ stress:
 #          old one, at the same two sizes.
 #   shard  BenchmarkRouterShards: latency, rows/query and cells/query at
 #          1/2/4 shards over the topical corpus, parity-gated.
+#          BenchmarkRestore: a whole Restore of that tier's snapshot at 1
+#          and 3 shards (-benchmem: what a restore copies onto the heap).
 #   core   BenchmarkCompactionStrategy: O'Brien vs Golub–Kahan update time
 #          with overlap@10, at two corpus sizes.
 #          BenchmarkFoldIn: one-document fold-ins along a SharedClone chain
 #          at 3 000 and 12 000 docs (-benchmem) — the publish cost, which
 #          should not grow with n.
 bench-tables:
-	$(GO) test -run '^$$' -bench 'TopKTable|IVFMaintain|RouterShards|CompactionStrategy|FoldIn' -benchmem -cpu 1,2 -count 6 \
+	$(GO) test -run '^$$' -bench 'TopKTable|IVFMaintain|RouterShards|Restore|CompactionStrategy|FoldIn' -benchmem -cpu 1,2 -count 6 \
 		./internal/rank ./internal/shard ./internal/core
 
 # bench-e2e runs the repository's benchmark (bench/README.md) — the four

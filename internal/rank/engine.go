@@ -75,11 +75,17 @@ func NewEngineExact(vectors *dense.Matrix) *Engine {
 	return newEngine(vectors, false, false)
 }
 
+// newEngine normalizes a copy of vectors and wraps it. Build, restore
+// and compaction landing all derive their caches here, so both O(n·dim)
+// passes — the normalization and the mirror's fill — fan out over
+// parallelRange; each row's arithmetic is the same on any worker count.
 func newEngine(vectors *dense.Matrix, withMirror, withInt8 bool) *Engine {
 	docs := vectors.Clone()
-	for i := 0; i < docs.Rows; i++ {
-		dense.Normalize(docs.Row(i))
-	}
+	parallelRange(docs.Rows, len(docs.Data) >= scoreParallelCutoff, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dense.Normalize(docs.Row(i))
+		}
+	})
 	return newEngineFor(docs, withMirror, withInt8)
 }
 

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -355,6 +356,39 @@ func partsBitEqual(t *testing.T, label string, got, want *Engine) {
 		if !reflect.DeepEqual(gi, wi) {
 			t.Fatalf("%s: index differs\ngot  %+v\nwant %+v", label, gi, wi)
 		}
+	}
+}
+
+// TestNewEngineIndependentOfWorkers: the normalization and the mirror
+// fill fan out over the cores, and every derived array and bound must be
+// bit-identical whatever the worker count — one worker is the serial
+// reference. The matrix is past scoreParallelCutoff so the fan-out runs.
+func TestNewEngineIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	vecs := randomMatrix(rng, 1201, 64)
+	if len(vecs.Data) < scoreParallelCutoff {
+		t.Fatalf("%d elements do not reach the fan-out cutoff %d", len(vecs.Data), scoreParallelCutoff)
+	}
+	build := func(procs int) (*Engine, *Engine) {
+		old := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(old)
+		return NewEngine(vecs), NewEngineExact(vecs)
+	}
+	serial, serialExact := build(1)
+	checkMirrorBitEqual(t, serial)
+	maxEps, maxEps8 := 0.0, 0.0
+	for i := range serial.mir.eps {
+		maxEps = math.Max(maxEps, serial.mir.eps[i])
+		maxEps8 = math.Max(maxEps8, serial.mir.eps8[i])
+	}
+	if serial.mir.maxEps != maxEps || serial.mir.maxEps8 != maxEps8 {
+		t.Fatalf("bounds %v/%v, row maxima %v/%v", serial.mir.maxEps, serial.mir.maxEps8, maxEps, maxEps8)
+	}
+	for _, procs := range []int{2, 3} {
+		par, parExact := build(procs)
+		checkMirrorBitEqual(t, par)
+		partsBitEqual(t, fmt.Sprintf("GOMAXPROCS %d", procs), par, serial)
+		partsBitEqual(t, fmt.Sprintf("GOMAXPROCS %d exact", procs), parExact, serialExact)
 	}
 }
 

@@ -122,16 +122,37 @@ func allocMirror(docs *dense.Matrix, withInt8 bool) *mirror {
 // fillRows converts rows [from, docs.Rows) from the float64 cache into
 // the mirror's (already sized) slices and folds their residuals into
 // maxEps/maxEps8. Callers guarantee exclusive ownership of that row
-// range.
+// range. Large ranges (a build, a restore, a compaction landing) fan out
+// over parallelRange: each chunk keeps its own maxima and the chunks are
+// combined with max, which is exact, so every array and bound is
+// bit-identical to a serial fill.
 func (m *mirror) fillRows(docs *dense.Matrix, from int) {
-	for i := from; i < docs.Rows; i++ {
+	n := docs.Rows - from
+	var mu sync.Mutex
+	parallelRange(n, n*docs.Cols >= scoreParallelCutoff, func(lo, hi int) {
+		e, e8 := m.fillSpan(docs, from+lo, from+hi)
+		mu.Lock()
+		if e > m.maxEps {
+			m.maxEps = e
+		}
+		if e8 > m.maxEps8 {
+			m.maxEps8 = e8
+		}
+		mu.Unlock()
+	})
+}
+
+// fillSpan is fillRows' serial kernel over rows [lo, hi), returning the
+// span's largest residuals (0 where a tier is absent).
+func (m *mirror) fillSpan(docs *dense.Matrix, lo, hi int) (maxEps, maxEps8 float64) {
+	for i := lo; i < hi; i++ {
 		r64 := docs.Row(i)
 		r32 := m.docs.Row(i)
 		dense.ConvertF32(r32, r64)
 		e := dense.ResidualF32(r64, r32) * boundSlack
 		m.eps[i] = e
-		if e > m.maxEps {
-			m.maxEps = e
+		if e > maxEps {
+			maxEps = e
 		}
 		if m.q8 == nil {
 			continue
@@ -141,10 +162,11 @@ func (m *mirror) fillRows(docs *dense.Matrix, from int) {
 		m.scale[i] = s
 		e8 := dense.ResidualI8(r64, r8, s) * boundSlack
 		m.eps8[i] = e8
-		if e8 > m.maxEps8 {
-			m.maxEps8 = e8
+		if e8 > maxEps8 {
+			maxEps8 = e8
 		}
 	}
+	return maxEps, maxEps8
 }
 
 // extendShared returns a successor mirror covering docs (the already

@@ -80,7 +80,9 @@ type Server struct {
 // NewWithOptions builds a server around an existing collection and
 // model. The model must have been built from the collection (same
 // vocabulary and documents); the serving tier takes ownership of it, so
-// the caller must not mutate it afterwards.
+// the caller must not mutate it afterwards. Neither the server nor the
+// tier keeps the collection itself — only its vocabulary and parse
+// options — so its count matrix can be freed once the caller drops it.
 func NewWithOptions(coll *corpus.Collection, model *core.Model, opts Options) (*Server, error) {
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -99,7 +101,7 @@ func NewWithOptions(coll *corpus.Collection, model *core.Model, opts Options) (*
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	return newFromRouter(router, coll, opts), nil
+	return newFromRouter(router, opts), nil
 }
 
 // NewFromRouter wraps an already-constructed serving tier — the
@@ -115,13 +117,15 @@ func NewFromRouter(router *shard.Router, opts Options) *Server {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
-	return newFromRouter(router, router.Collection(), opts)
+	return newFromRouter(router, opts)
 }
 
-func newFromRouter(router *shard.Router, coll *corpus.Collection, opts Options) *Server {
+// newFromRouter parses queries with the router's own collection — the
+// vocabulary and parse options, never the build's count matrix.
+func newFromRouter(router *shard.Router, opts Options) *Server {
 	s := &Server{
 		router:  router,
-		coll:    coll,
+		coll:    router.Collection(),
 		mux:     http.NewServeMux(),
 		metrics: newMetrics("search", "search_batch", "terms", "documents", "delete_document", "stats", "metrics"),
 		timeout: opts.RequestTimeout,

@@ -74,7 +74,8 @@ func serve(s *Server, method, path, body string) *httptest.ResponseRecorder {
 }
 
 // TestRestoredServerServesIdenticalBodiesAndStaysWritable: a tier whose
-// collections carry no count matrix (every shard after New, everything
+// collections carry no count matrix (the router and every shard after
+// New, everything
 // after Restore) answers /search and /search/batch with the bytes the
 // original did, and its write path — fold-in, then a coordinated
 // compaction, both of which re-count documents from text — still works.
@@ -109,6 +110,9 @@ func TestRestoredServerServesIdenticalBodiesAndStaysWritable(t *testing.T) {
 			defer closeServer(t, restored)
 			if router.Collection().TD != nil {
 				t.Fatal("restored router rebuilt a term-document matrix")
+			}
+			if live.Router().Collection().TD != nil || live.coll.TD != nil {
+				t.Fatal("built router or server pins the build's term-document matrix")
 			}
 			for i, q := range queries {
 				if got := serve(restored, http.MethodGet, searchPath(q), "").Body.Bytes(); !bytes.Equal(got, want[i]) {

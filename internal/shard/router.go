@@ -191,13 +191,38 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 	for j := 0; j < coll.Size(); j++ {
 		idx[j%n] = append(idx[j%n], j)
 	}
-	r := &Router{cfg: cfg, coll: coll}
+	// The router keeps the vocabulary and parse options only: the build's
+	// count matrix and document slice are not pinned past construction.
+	r := &Router{cfg: cfg, coll: corpus.Restore(nil, coll.Vocab, coll.ParseOptions())}
 	for j, d := range coll.Docs {
 		r.ids.Store(d.ID, idEntry{ord: int64(j), shard: j % n})
 	}
 	r.nextOrd.Store(int64(coll.Size()))
 	r.nextAuto.Store(int64(coll.Size()))
 
+	engines, err := startShards(n, func(s int) (*engine.Engine, error) {
+		docs := make([]corpus.Document, len(idx[s]))
+		for i, j := range idx[s] {
+			docs[i] = coll.Docs[j]
+		}
+		// Documents plus the shared vocabulary, no count matrix: nothing
+		// downstream of a factored model reads TD.
+		local := corpus.Restore(docs, coll.Vocab, coll.ParseOptions())
+		return engine.New(local, model.DocSubsetView(idx[s]), cfg.Engine)
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.shards = engines
+	r.startMonitor()
+	return r, nil
+}
+
+// startShards runs start for shards 0..n-1 concurrently — New builds
+// and Restore restores every shard this way. On any failure it closes
+// every engine that did start and reports the lowest-index shard's
+// error.
+func startShards(n int, start func(s int) (*engine.Engine, error)) ([]*engine.Engine, error) {
 	engines := make([]*engine.Engine, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -205,32 +230,23 @@ func New(coll *corpus.Collection, model *core.Model, cfg Config) (*Router, error
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			docs := make([]corpus.Document, len(idx[s]))
-			for i, j := range idx[s] {
-				docs[i] = coll.Docs[j]
-			}
-			// Documents plus the shared vocabulary, no count matrix: nothing
-			// downstream of a factored model reads TD.
-			local := corpus.Restore(docs, coll.Vocab, coll.ParseOptions())
-			engines[s], errs[s] = engine.New(local, model.DocSubsetView(idx[s]), cfg.Engine)
+			engines[s], errs[s] = start(s)
 		}(s)
 	}
 	wg.Wait()
 	for s, err := range errs {
 		if err != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
 			for _, e := range engines {
 				if e != nil {
 					_ = e.Close(ctx)
 				}
 			}
-			cancel()
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
-	r.shards = engines
-	r.startMonitor()
-	return r, nil
+	return engines, nil
 }
 
 // Shards returns the shard count.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +10,20 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/weight"
 )
+
+// topicalTier is the benchmarks' corpus and model: 12 000 single-topic
+// documents at k = 64, the shape of bench/'s topical-search tier.
+func topicalTier(b *testing.B) (*corpus.Synth, *core.Model) {
+	synth := corpus.GenerateSynth(corpus.SynthOptions{
+		Seed: 1, Topics: 64, ConceptsPerTopic: 24, Docs: 12000, DocLen: 60,
+		NoiseWords: 200, NoiseZipf: true, QueriesPerTopic: 4,
+	})
+	model, err := core.BuildCollection(synth.Collection, core.Config{K: 64, Scheme: weight.LogEntropy})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return synth, model
+}
 
 // benchHits and benchRows keep the measured calls' results live.
 var (
@@ -30,15 +45,8 @@ var (
 // (ROADMAP, "Shard-invariant pruning") has to bring down.
 func BenchmarkRouterShards(b *testing.B) {
 	const topN, batch = 10, 16
-	synth := corpus.GenerateSynth(corpus.SynthOptions{
-		Seed: 1, Topics: 64, ConceptsPerTopic: 24, Docs: 12000, DocLen: 60,
-		NoiseWords: 200, NoiseZipf: true, QueriesPerTopic: 4,
-	})
+	synth, model := topicalTier(b)
 	coll := synth.Collection
-	model, err := core.BuildCollection(coll, core.Config{K: 64, Scheme: weight.LogEntropy})
-	if err != nil {
-		b.Fatal(err)
-	}
 	queries := make([]sparse.Vec, len(synth.Queries))
 	for i, q := range synth.Queries {
 		queries[i] = coll.QueryCounts(q.Text)
@@ -85,5 +93,39 @@ func BenchmarkRouterShards(b *testing.B) {
 			benchRows, _ = r.SearchBatchSparse(queries[lo:lo+batch], topN)
 		})
 		closeRouter(b, r)
+	}
+}
+
+// BenchmarkRestore measures Restore of the topical tier's snapshot at 1
+// and 3 shards: the docs record decode, the model views, the parallel
+// per-shard derivation of the scoring tiers and the certification of the
+// saved cell membership. Closing the restored tier is not timed. Run
+// with -benchmem: B/op is what a restore copies onto the heap (the
+// factors stay in the mapping).
+func BenchmarkRestore(b *testing.B) {
+	synth, model := topicalTier(b)
+	for _, shards := range []int{1, 3} {
+		r, err := New(synth.Collection, model, Config{Shards: shards})
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), "tier.lsnp")
+		if err := r.SaveSnapshot(path); err != nil {
+			b.Fatal(err)
+		}
+		closeRouter(b, r)
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				restored, f, err := Restore(path, Config{}, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				closeRouter(b, restored)
+				f.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -4,9 +4,10 @@
 // -load-model path.
 //
 // What is saved per shard is state, not caches: the LSI model (U, Σ, V,
-// global weights), the document list with global submission ordinals,
-// tombstoned rows, the generation and auto-ID counters, and the cluster
-// index's cell membership. Every scoring tier — the normalized float64
+// global weights), the document list with global submission ordinals (a
+// binary record that decodes by copying, see encodeDocs), tombstoned
+// rows, the generation and auto-ID counters, and the cluster index's
+// cell membership. Every scoring tier — the normalized float64
 // cache, the float32 mirror, the int8 tier, their residuals — and every
 // cell's centroid and radius are functions of V, so Restore derives them
 // as a fresh build does, under the restoring process's own tier
@@ -27,12 +28,11 @@
 package shard
 
 import (
-	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -44,8 +44,9 @@ import (
 
 // snapshotVersion is the router-snapshot layout version, independent of
 // the container format version (snapfile.Version). Version 1 also
-// stored the scoring tiers and cell bounds; it is not read.
-const snapshotVersion = 2
+// stored the scoring tiers and cell bounds, version 2 stored the
+// documents as JSON; neither is read.
+const snapshotVersion = 3
 
 // maxSnapshotShards keeps every section name within snapfile's 16-byte
 // limit ("s999/members" is the longest stem).
@@ -101,15 +102,6 @@ func (s savedParseOpts) parseOptions() text.ParseOptions {
 		Stopwords:      stop,
 		Aliases:        s.Aliases,
 	}
-}
-
-// savedDoc is one document row: its identity, raw text, and global
-// submission ordinal (-1 for tombstoned rows, whose ordinal was
-// released at delete time).
-type savedDoc struct {
-	ID   string `json:"id"`
-	Text string `json:"text"`
-	Ord  int64  `json:"ord"`
 }
 
 // shardState is the JSON "s<i>/state" section: the per-shard counters
@@ -185,7 +177,7 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 	var st shardState
 	st.Gen = snap.Gen
 	st.NextID = nextID
-	docs := make([]savedDoc, len(snap.Docs))
+	ords := make([]int64, len(snap.Docs))
 	for i, d := range snap.Docs {
 		ord := int64(-1)
 		if !snap.Dead.Has(i) {
@@ -201,12 +193,9 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 		} else {
 			st.Dead = append(st.Dead, i)
 		}
-		docs[i] = savedDoc{ID: d.ID, Text: d.Text, Ord: ord}
+		ords[i] = ord
 	}
-	docsRaw, err := json.Marshal(docs)
-	if err != nil {
-		return nil, err
-	}
+	docsRaw := encodeDocs(snap.Docs, ords)
 	ivf := snap.Eng.Parts().IVF
 	if ivf != nil {
 		st.IVF = &ivfState{Rows: ivf.Rows, Dim: ivf.Dim, Placed: ivf.Placed}
@@ -231,6 +220,95 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 	return sections, nil
 }
 
+// The "s<i>/docs" section is one little-endian record, decoded with
+// copies instead of a parser:
+//
+//	n            uint64
+//	ord          int64 × n   global submission ordinal, -1 on dead rows
+//	idEnd        uint64 × n  end offset of each id in the id blob
+//	textEnd      uint64 × n  end offset of each text in the text blob
+//	ids          the ids, concatenated
+//	texts        the texts, concatenated
+//
+// Offsets are absolute within their blob, so row i's text is
+// texts[textEnd[i-1]:textEnd[i]] wherever the blob lives. Bytes are
+// stored as given: texts and ids round-trip exactly, invalid UTF-8
+// included. The encoding is canonical — decodeDocs accepts only what
+// encodeDocs writes.
+const docsHeader = 8
+
+// encodeDocs writes docs and their ordinals as a docs record.
+func encodeDocs(docs []corpus.Document, ords []int64) []byte {
+	n := len(docs)
+	var idLen, textLen int
+	for _, d := range docs {
+		idLen += len(d.ID)
+		textLen += len(d.Text)
+	}
+	b := make([]byte, docsHeader+24*n+idLen+textLen)
+	le := binary.LittleEndian
+	le.PutUint64(b, uint64(n))
+	ordAt, idEndAt, textEndAt := docsHeader, docsHeader+8*n, docsHeader+16*n
+	ids := b[docsHeader+24*n:]
+	texts := ids[idLen:]
+	var idOff, textOff int
+	for i, d := range docs {
+		le.PutUint64(b[ordAt+8*i:], uint64(ords[i]))
+		idOff += copy(ids[idOff:], d.ID)
+		textOff += copy(texts[textOff:], d.Text)
+		le.PutUint64(b[idEndAt+8*i:], uint64(idOff))
+		le.PutUint64(b[textEndAt+8*i:], uint64(textOff))
+	}
+	return b
+}
+
+// decodeDocs parses a docs record. It makes two string allocations —
+// one per blob — and slices every ID and Text out of them. Beyond the
+// header fitting, it checks that offsets never decrease, stay within
+// their blob, and that the two blobs fill the rest of the record
+// exactly.
+func decodeDocs(b []byte) ([]corpus.Document, []int64, error) {
+	if len(b) < docsHeader {
+		return nil, nil, fmt.Errorf("docs record of %d bytes has no header", len(b))
+	}
+	le := binary.LittleEndian
+	n64 := le.Uint64(b)
+	if n64 > uint64(len(b)-docsHeader)/24 {
+		return nil, nil, fmt.Errorf("docs record of %d bytes cannot hold %d rows", len(b), n64)
+	}
+	n := int(n64)
+	ords := make([]int64, n)
+	for i := range ords {
+		ords[i] = int64(le.Uint64(b[docsHeader+8*i:]))
+	}
+	idEnd := b[docsHeader+8*n : docsHeader+16*n]
+	textEnd := b[docsHeader+16*n : docsHeader+24*n]
+	blob := b[docsHeader+24*n:]
+	var idLen, textLen uint64
+	if n > 0 {
+		idLen, textLen = le.Uint64(idEnd[8*(n-1):]), le.Uint64(textEnd[8*(n-1):])
+	}
+	if idLen > uint64(len(blob)) || textLen > uint64(len(blob))-idLen {
+		return nil, nil, fmt.Errorf("docs record: blobs of %d+%d bytes past the %d stored", idLen, textLen, len(blob))
+	}
+	if extra := uint64(len(blob)) - idLen - textLen; extra != 0 {
+		return nil, nil, fmt.Errorf("docs record: %d trailing bytes", extra)
+	}
+	ids, texts := string(blob[:idLen]), string(blob[idLen:])
+	docs := make([]corpus.Document, n)
+	var idPrev, textPrev uint64
+	for i := range docs {
+		ie, te := le.Uint64(idEnd[8*i:]), le.Uint64(textEnd[8*i:])
+		if ie < idPrev || ie > idLen || te < textPrev || te > textLen {
+			return nil, nil, fmt.Errorf("docs record: row %d offsets (%d, %d) outside [%d, %d] × [%d, %d]",
+				i, ie, te, idPrev, idLen, textPrev, textLen)
+		}
+		docs[i] = corpus.Document{ID: ids[idPrev:ie], Text: texts[textPrev:te]}
+		idPrev, textPrev = ie, te
+	}
+	return docs, ords, nil
+}
+
 // Restore rebuilds a Router from a SaveSnapshot container. cfg is the
 // runtime configuration (engine knobs, compaction threshold); cfg.Shards
 // must be zero (accept the saved count) or equal to it — document
@@ -241,8 +319,9 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 // fresh build builds it, so cfg.Engine's DisableScreening, DisableIVF,
 // IVFNProbe and IVFMinRows apply to the restored tier as they would to a
 // build; the saved cell membership stands in for k-means wherever the
-// build would cluster. That derivation is O(n·k) per shard (≈ 10 ms at
-// 12 000×64), beside the O(n) decoding of the document JSON.
+// build would cluster. That derivation is O(n·k) per shard and fans out
+// over the cores; the documents decode by copying two blobs. Shards
+// restore in parallel, as New builds them.
 //
 // The returned snapfile.File backs the restored models' factor arrays
 // (memory-mapped where the platform supports it — cold rows page in on
@@ -273,15 +352,24 @@ func Restore(path string, cfg Config, verify bool) (*Router, *snapfile.File, err
 	return r, f, nil
 }
 
-// Collection exposes the router's global collection (its vocabulary is
-// what query parsing needs; after Restore it carries no documents —
-// per-shard collections own those).
+// Collection exposes the router's global collection: the vocabulary
+// and parse options query parsing needs, with no documents (per-shard
+// collections own those) and no count matrix, after New as after
+// Restore.
 func (r *Router) Collection() *corpus.Collection { return r.coll }
 
-func snapJSON(f *snapfile.File, name string, v any) error {
+func snapBytes(f *snapfile.File, name string) ([]byte, error) {
 	b, ok := f.Section(name)
 	if !ok {
-		return fmt.Errorf("shard: snapshot missing section %q", name)
+		return nil, fmt.Errorf("shard: snapshot missing section %q", name)
+	}
+	return b, nil
+}
+
+func snapJSON(f *snapfile.File, name string, v any) error {
+	b, err := snapBytes(f, name)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(b, v); err != nil {
 		return fmt.Errorf("shard: section %q: %w", name, err)
@@ -290,9 +378,9 @@ func snapJSON(f *snapfile.File, name string, v any) error {
 }
 
 func snapI32(f *snapfile.File, name string) ([]int32, error) {
-	b, ok := f.Section(name)
-	if !ok {
-		return nil, fmt.Errorf("shard: snapshot missing section %q", name)
+	b, err := snapBytes(f, name)
+	if err != nil {
+		return nil, err
 	}
 	xs, err := snapfile.I32(b)
 	if err != nil {
@@ -330,23 +418,11 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 	r := &Router{cfg: cfg, coll: corpus.Restore(nil, vocab, opts)}
 	r.nextOrd.Store(meta.NextOrd)
 	r.nextAuto.Store(meta.NextAuto)
-	engines := make([]*engine.Engine, meta.Shards)
-	closeAll := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		for _, e := range engines {
-			if e != nil {
-				_ = e.Close(ctx)
-			}
-		}
-	}
-	for s := range engines {
-		eng, err := r.restoreShard(f, s, vocab, opts, cfg.Engine)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		engines[s] = eng
+	engines, err := startShards(meta.Shards, func(s int) (*engine.Engine, error) {
+		return r.restoreShard(f, s, vocab, opts, cfg.Engine)
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.shards = engines
 	r.startMonitor()
@@ -357,7 +433,9 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 // views), engine.New derives the scoring cache from V as for a fresh
 // build and certifies the saved cell membership, and the engine resumes
 // with its persisted counters. Registry entries for the shard's live
-// documents are seeded as a side effect.
+// documents are seeded as a side effect; shards restore concurrently
+// into the one registry, so a live ID stored on two shards fails
+// whichever claims it second.
 func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 	opts text.ParseOptions, engCfg engine.Config) (*engine.Engine, error) {
 	prefix := fmt.Sprintf("s%d/", s)
@@ -365,34 +443,36 @@ func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 	if err := snapJSON(f, prefix+"state", &st); err != nil {
 		return nil, err
 	}
-	var saved []savedDoc
-	if err := snapJSON(f, prefix+"docs", &saved); err != nil {
+	b, err := snapBytes(f, prefix+"docs")
+	if err != nil {
+		return nil, err
+	}
+	docs, ords, err := decodeDocs(b)
+	if err != nil {
 		return nil, err
 	}
 	model, err := core.ModelFromSnapshot(f, prefix)
 	if err != nil {
 		return nil, err
 	}
-	if model.NumDocs() != len(saved) {
-		return nil, fmt.Errorf("model has %d rows, docs section %d", model.NumDocs(), len(saved))
+	if model.NumDocs() != len(docs) {
+		return nil, fmt.Errorf("model has %d rows, docs section %d", model.NumDocs(), len(docs))
 	}
 
-	docs := make([]corpus.Document, len(saved))
 	deadSet := make(map[int]struct{}, len(st.Dead))
 	for _, row := range st.Dead {
-		if row < 0 || row >= len(saved) {
-			return nil, fmt.Errorf("dead row %d outside [0, %d)", row, len(saved))
+		if row < 0 || row >= len(docs) {
+			return nil, fmt.Errorf("dead row %d outside [0, %d)", row, len(docs))
 		}
 		deadSet[row] = struct{}{}
 	}
-	for i, d := range saved {
-		docs[i] = corpus.Document{ID: d.ID, Text: d.Text}
+	for i, d := range docs {
 		_, dead := deadSet[i]
-		if dead != (d.Ord < 0) {
-			return nil, fmt.Errorf("row %d: dead=%v but ord=%d", i, dead, d.Ord)
+		if dead != (ords[i] < 0) {
+			return nil, fmt.Errorf("row %d: dead=%v but ord=%d", i, dead, ords[i])
 		}
 		if !dead {
-			if _, dup := r.ids.LoadOrStore(d.ID, idEntry{ord: d.Ord, shard: s}); dup {
+			if _, dup := r.ids.LoadOrStore(d.ID, idEntry{ord: ords[i], shard: s}); dup {
 				return nil, fmt.Errorf("live document ID %q appears twice in snapshot", d.ID)
 			}
 		}

@@ -194,6 +194,20 @@ func patchSection(t *testing.T, sections []snapfile.Section, name string, fn fun
 	t.Fatalf("section %q not found", name)
 }
 
+// patchDocs returns a section mangler that decodes a docs record, lets
+// fn edit the rows and ordinals in place, and re-encodes them.
+func patchDocs(t *testing.T, fn func(docs []corpus.Document, ords []int64)) func([]byte) []byte {
+	return func(b []byte) []byte {
+		t.Helper()
+		docs, ords, err := decodeDocs(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(docs, ords)
+		return encodeDocs(docs, ords)
+	}
+}
+
 // TestRestoreDeadRows exercises the tombstone-restore path directly (a
 // healthy save compacts tombstones away first, so this state normally
 // arises only when a downdate was degenerate): a container whose state
@@ -214,19 +228,10 @@ func TestRestoreDeadRows(t *testing.T) {
 	// Kill shard 0's row 1 by hand: ord → -1 in docs, row → state.Dead.
 	sections := resection(t, path)
 	var victim string
-	patchSection(t, sections, "s0/docs", func(b []byte) []byte {
-		var docs []savedDoc
-		if err := json.Unmarshal(b, &docs); err != nil {
-			t.Fatal(err)
-		}
+	patchSection(t, sections, "s0/docs", patchDocs(t, func(docs []corpus.Document, ords []int64) {
 		victim = docs[1].ID
-		docs[1].Ord = -1
-		out, err := json.Marshal(docs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	})
+		ords[1] = -1
+	}))
 	patchSection(t, sections, "s0/state", func(b []byte) []byte {
 		var st shardState
 		if err := json.Unmarshal(b, &st); err != nil {
@@ -270,8 +275,8 @@ func TestRestoreDeadRows(t *testing.T) {
 }
 
 // TestRestoreRejectsCorrupt: structural damage — a cut or inconsistent
-// cell membership, an older layout version — fails the verify=false
-// open; payload bit-rot fails the verify=true open. The tier is saved
+// cell membership or document record, an older layout version — fails
+// the verify=false open; payload bit-rot fails the verify=true open. The tier is saved
 // with a cluster index (IVFMinRows 1) so the membership sections exist.
 func TestRestoreRejectsCorrupt(t *testing.T) {
 	coll, model, _ := synthFixture(t, 40, 6)
@@ -302,12 +307,12 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 			binary.LittleEndian.PutUint32(out, binary.LittleEndian.Uint32(out)+1)
 			return out
 		}, false},
-		{"version-1", "meta", func(b []byte) []byte {
+		{"version-2", "meta", func(b []byte) []byte {
 			var meta map[string]any
 			if err := json.Unmarshal(b, &meta); err != nil {
 				t.Fatal(err)
 			}
-			meta["version"] = 1
+			meta["version"] = 2
 			out, _ := json.Marshal(meta)
 			return out
 		}, false},
@@ -320,20 +325,52 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 			out, _ := json.Marshal(&st)
 			return out
 		}, false},
-		{"ord-dead-mismatch", "s0/docs", func(b []byte) []byte {
-			var docs []savedDoc
-			if err := json.Unmarshal(b, &docs); err != nil {
+		{"ord-dead-mismatch", "s0/docs", patchDocs(t, func(_ []corpus.Document, ords []int64) {
+			ords[0] = -1 // dead ord without a Dead entry
+		}), false},
+		{"docs-count-mismatch", "s0/docs", func(b []byte) []byte {
+			docs, ords, err := decodeDocs(b)
+			if err != nil {
 				t.Fatal(err)
 			}
-			docs[0].Ord = -1 // dead ord without a Dead entry
-			out, _ := json.Marshal(docs)
+			return encodeDocs(docs[1:], ords[1:]) // one row fewer than V
+		}, false},
+		{"docs-offset-backwards", "s0/docs", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			le := binary.LittleEndian
+			at := 8 + 16*int(le.Uint64(out))                // text 0's end offset
+			le.PutUint64(out[at+8:], le.Uint64(out[at:])-1) // text 1 ends before text 0
 			return out
+		}, false},
+		{"docs-offset-past-blob", "s0/docs", func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			n := int(binary.LittleEndian.Uint64(out))
+			at := 8 + 24*n - 8 // the last text end: the blob's length
+			binary.LittleEndian.PutUint64(out[at:], binary.LittleEndian.Uint64(out[at:])+1)
+			return out
+		}, false},
+		{"docs-truncated-header", "s0/docs", func(b []byte) []byte {
+			n := int(binary.LittleEndian.Uint64(b))
+			return b[:8+24*n-4]
+		}, false},
+		{"docs-trailing-bytes", "s0/docs", func(b []byte) []byte {
+			return append(append([]byte(nil), b...), 'x')
 		}, false},
 		{"bit-rot", "s1/V", func(b []byte) []byte {
 			out := append([]byte(nil), b...)
 			out[len(out)/2] ^= 0x01
 			return out
 		}, true},
+	}
+	// The cases whose rejection must name its cause.
+	wantErr := map[string]string{
+		"version-2":             "snapshot version 2, this binary reads 3",
+		"ord-dead-mismatch":     "dead=false but ord=-1",
+		"docs-count-mismatch":   "docs section",
+		"docs-offset-backwards": "row 1 offsets",
+		"docs-offset-past-blob": "past the",
+		"docs-truncated-header": "cannot hold",
+		"docs-trailing-bytes":   "1 trailing bytes",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -359,8 +396,8 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 				f.Close()
 				t.Fatal("corrupt snapshot accepted")
 			}
-			if tc.name == "version-1" && !strings.Contains(err.Error(), "version 1, this binary reads 2") {
-				t.Fatalf("version-1 file rejected with %q", err)
+			if want := wantErr[tc.name]; !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s rejected with %q, want it to say %q", tc.name, err, want)
 			}
 		})
 	}
