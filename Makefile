@@ -103,9 +103,12 @@ stress:
 #          BenchmarkFoldIn: one-document fold-ins along a SharedClone chain
 #          at 3 000 and 12 000 docs (-benchmem) — the publish cost, which
 #          should not grow with n.
+#   lsi    BenchmarkLoad: lsi.Load of a 12 000-doc, k = 64 database — the
+#          file read, the CRC pass and the decode (-benchmem: what a load
+#          copies onto the heap).
 bench-tables:
-	$(GO) test -run '^$$' -bench 'TopKTable|IVFMaintain|RouterShards|Restore|CompactionStrategy|FoldIn' -benchmem -cpu 1,2 -count 6 \
-		./internal/rank ./internal/shard ./internal/core
+	$(GO) test -run '^$$' -bench 'TopKTable|IVFMaintain|RouterShards|Restore|CompactionStrategy|FoldIn|Load' -benchmem -cpu 1,2 -count 6 \
+		./internal/rank ./internal/shard ./internal/core ./lsi
 
 # bench-e2e runs the repository's benchmark (bench/README.md) — the four
 # workloads BENCHMARK.json names, end-to-end metrics only — appending one

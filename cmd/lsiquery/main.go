@@ -7,13 +7,22 @@
 //	lsiquery -dir ./docs -k 50 "sparse singular value decomposition"
 //	lsiquery -dir ./docs            # interactive: one query per line
 //
+//	lsiquery -dir ./docs -save docs.lsnp
+//	lsiquery -load docs.lsnp "query words"
+//
 // Flags:
 //
-//	-dir     directory of *.txt files (required)
+//	-dir     directory of *.txt files (required unless -load is given)
 //	-k       number of LSI factors (default 50, clamped to the collection)
 //	-scheme  weighting: raw | log-entropy (default log-entropy)
 //	-top     number of documents to print (default 10)
 //	-terms   also print the nearest indexed terms (automatic thesaurus)
+//	-save    write the built database to this file; exit unless a query
+//	         is given. The file is a 1-shard model snapshot, so
+//	         lsiserver -load-model serves it
+//	-load    query a saved database instead of building from -dir: a
+//	         -save file, or what lsiserver -save-model wrote at any shard
+//	         count (live documents only, merged in submission order)
 package main
 
 import (
@@ -28,7 +37,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/index"
+	"repro/internal/shard"
+	"repro/internal/snapfile"
 	"repro/internal/synonym"
 	"repro/internal/text"
 	"repro/internal/weight"
@@ -42,8 +52,8 @@ func main() {
 	schemeName := flag.String("scheme", "log-entropy", "weighting: raw | log-entropy")
 	top := flag.Int("top", 10, "documents to print per query")
 	showTerms := flag.Bool("terms", false, "also print nearest terms for each query word")
-	savePath := flag.String("save", "", "write the built index to this file and exit")
-	loadPath := flag.String("load", "", "load a previously saved index instead of -dir")
+	savePath := flag.String("save", "", "write the built database (a 1-shard model snapshot) to this file and exit")
+	loadPath := flag.String("load", "", "query a saved database or lsiserver -save-model file instead of -dir")
 	flag.Parse()
 
 	var scheme weight.Scheme
@@ -58,38 +68,49 @@ func main() {
 
 	var coll *corpus.Collection
 	var model *core.Model
-	var docs []corpus.Document
 	switch {
 	case *loadPath != "":
-		ix, err := index.Load(*loadPath)
+		// Every section's CRC is checked; the factors stay in the file's
+		// mapping for the life of the process.
+		f, err := snapfile.Open(*loadPath)
+		if err == nil {
+			err = f.VerifyAll()
+		}
+		if err == nil {
+			coll, model, err = shard.ReadDatabase(f)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		coll, model, docs = ix.Coll, ix.Model, ix.Coll.Docs
-		fmt.Fprintf(os.Stderr, "loaded index: %d terms, %d docs, k=%d\n",
+		fmt.Fprintf(os.Stderr, "loaded database: %d terms, %d docs, k=%d\n",
 			coll.Terms(), model.NumDocs(), model.K)
 	case *dir != "":
-		var err error
-		docs, err = loadDir(*dir)
+		docs, err := loadDir(*dir)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if len(docs) == 0 {
 			log.Fatalf("no .txt files under %s", *dir)
 		}
-		ix, err := index.Build(docs, text.ParseOptions{MinDocs: 2},
-			core.Config{K: *k, Scheme: scheme})
+		coll = corpus.New(docs, text.ParseOptions{MinDocs: 2, Stopwords: text.Stopwords()})
+		if coll.Terms() == 0 {
+			log.Fatalf("no indexable terms in %d documents", len(docs))
+		}
+		model, err = core.BuildCollection(coll, core.Config{K: *k, Scheme: scheme})
 		if err != nil {
 			log.Fatal(err)
 		}
-		coll, model = ix.Coll, ix.Model
 		fmt.Fprintf(os.Stderr, "indexed %d terms over %d documents (density %.3f%%), k=%d, σ1=%.3f\n",
 			coll.Terms(), coll.Size(), 100*coll.TD.Density(), model.K, model.S[0])
 		if *savePath != "" {
-			if err := ix.Save(*savePath); err != nil {
+			sections, err := shard.DatabaseSections(coll, model)
+			if err == nil {
+				err = snapfile.Write(*savePath, sections)
+			}
+			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "index saved to %s\n", *savePath)
+			fmt.Fprintf(os.Stderr, "database saved to %s\n", *savePath)
 			if flag.NArg() == 0 {
 				return
 			}
@@ -97,7 +118,6 @@ func main() {
 	default:
 		log.Fatal("either -dir or -load is required")
 	}
-
 	answer := func(q string) {
 		counts := coll.QueryCounts(q)
 		if len(counts.Idx) == 0 {
@@ -107,7 +127,7 @@ func main() {
 		// Bounded top-k selection: only the documents to be printed are
 		// ranked, not the whole collection.
 		for _, r := range model.RankVectorTop(model.ProjectSparse(counts, nil), *top) {
-			fmt.Printf("  %+.3f  %s\n", r.Score, docs[r.Doc].ID)
+			fmt.Printf("  %+.3f  %s\n", r.Score, coll.Docs[r.Doc].ID)
 		}
 		if *showTerms {
 			for _, w := range strings.Fields(strings.ToLower(q)) {

@@ -279,9 +279,19 @@ func (m *Model) DocSubsetView(idx []int) *Model {
 	for r, j := range idx {
 		copy(v.Row(r), m.V.Row(j))
 	}
-	svdDocs := len(idx)
-	if m.FoldedDocs() != 0 {
-		svdDocs = 0
+	return m.WithDocRows(v, m.FoldedDocs() == 0)
+}
+
+// WithDocRows returns a model whose document rows are v over the
+// receiver's term side, shared and copied as DocSubsetView shares and
+// copies them. The rows count as SVD rows when unfolded is set and as
+// folded otherwise — DocSubsetView's rule, which a merge of several
+// views sharing one basis (shard.ReadDatabase) applies with unfolded
+// true only when every view is.
+func (m *Model) WithDocRows(v *dense.Matrix, unfolded bool) *Model {
+	svdDocs := 0
+	if unfolded {
+		svdDocs = v.Rows
 	}
 	return &Model{
 		K:        m.K,

@@ -21,12 +21,14 @@ import (
 //
 // This is the one on-disk form of a model — an LSI database is a
 // long-lived artifact (the paper's TREC SVD took 18 hours to compute;
-// §5.3) — shared by the serving tier's snapshots (shard.Router) and the
-// library's index files (internal/index). The sections are raw
-// little-endian payloads at 64-byte alignment, so ModelFromSnapshot can
-// alias the two large factors directly over a memory mapping: opening a
-// model costs the JSON header parse, not O(terms·k + docs·k) of copying,
-// and factor pages fault in only as queries touch them.
+// §5.3) — written once per shard, under "s<i>/", by the one database
+// schema: the shard snapshot that shard.Router.SaveSnapshot writes for
+// the server and shard.DatabaseSections for the library and lsiquery.
+// The sections are raw little-endian payloads at 64-byte alignment, so
+// ModelFromSnapshot can alias the two large factors directly over a
+// memory mapping: opening a model costs the JSON header parse, not
+// O(terms·k + docs·k) of copying, and factor pages fault in only as
+// queries touch them.
 //
 // Aliasing read-only views is sound under the SharedClone contract
 // (core.go): no mutating method writes below the length a model holds,
@@ -156,41 +158,4 @@ func ModelFromSnapshot(f *snapfile.File, prefix string) (*Model, error) {
 		svdDocs:  h.SvdDocs,
 		svdTerms: h.SvdTerms,
 	}, nil
-}
-
-// WriteSnapshotFile writes a single model as a standalone snapshot
-// container (the one-model convenience over SnapshotSections; the
-// serving tier writes multi-shard containers through shard.Router).
-func WriteSnapshotFile(path string, m *Model) error {
-	sections, err := m.SnapshotSections("")
-	if err != nil {
-		return err
-	}
-	return snapfile.Write(path, sections)
-}
-
-// OpenSnapshotFile opens a container written by WriteSnapshotFile in
-// O(1): the header and section table are validated, but factor payloads
-// are only paged in as they are touched. The model aliases the returned
-// File's mapping — call Close only after the model is unreachable. Pass
-// verify=true to force a full CRC pass over every payload first (O(file
-// size), for load-time integrity checking at the cost of paging
-// everything in).
-func OpenSnapshotFile(path string, verify bool) (*Model, *snapfile.File, error) {
-	f, err := snapfile.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if verify {
-		if err := f.VerifyAll(); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	m, err := ModelFromSnapshot(f, "")
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return m, f, nil
 }

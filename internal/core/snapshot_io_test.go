@@ -14,10 +14,44 @@ import (
 	"repro/internal/weight"
 )
 
+// writeModelFile writes m alone, unprefixed, as a snapshot container.
+func writeModelFile(t *testing.T, path string, m *Model) {
+	t.Helper()
+	sections, err := m.SnapshotSections("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snapfile.Write(path, sections); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openModelFile maps a container and attaches its unprefixed model over
+// the mapping — the path a restore takes for each shard — after an
+// optional full CRC pass.
+func openModelFile(path string, verify bool) (*Model, *snapfile.File, error) {
+	f, err := snapfile.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if verify {
+		if err := f.VerifyAll(); err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+	}
+	m, err := ModelFromSnapshot(f, "")
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return m, f, nil
+}
+
 // TestSnapshotFileRoundTrip pins the mmap-format round trip: a model
-// written with WriteSnapshotFile and reopened (with and without the
-// full-verify pass) is bit-identical in every factor and behaviourally
-// identical on queries.
+// written with snapfile.Write and reopened through snapfile.Open and
+// ModelFromSnapshot (with and without the full-verify pass) is
+// bit-identical in every factor and behaviourally identical on queries.
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := randomCounts(rng, 30, 18, 0.3)
@@ -26,13 +60,11 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.lsnp")
-	if err := WriteSnapshotFile(path, m); err != nil {
-		t.Fatalf("WriteSnapshotFile: %v", err)
-	}
+	writeModelFile(t, path, m)
 	for _, verify := range []bool{false, true} {
-		got, f, err := OpenSnapshotFile(path, verify)
+		got, f, err := openModelFile(path, verify)
 		if err != nil {
-			t.Fatalf("OpenSnapshotFile(verify=%v): %v", verify, err)
+			t.Fatalf("openModelFile(verify=%v): %v", verify, err)
 		}
 		if got.K != m.K || got.NumTerms() != m.NumTerms() || got.NumDocs() != m.NumDocs() {
 			t.Fatal("shape mismatch after round trip")
@@ -128,13 +160,12 @@ func TestSnapshotRejectsCorruptHeader(t *testing.T) {
 	if err := snapfile.Write(path, sections); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenSnapshotFile(path, false); err == nil {
+	if _, _, err := openModelFile(path, false); err == nil {
 		t.Fatal("oversized header accepted")
 	}
 }
 
-// encodeModel is the in-memory form of WriteSnapshotFile: the container
-// image internal/index embeds a model in.
+// encodeModel is the in-memory form of writeModelFile.
 func encodeModel(t *testing.T, m *Model) []byte {
 	t.Helper()
 	sections, err := m.SnapshotSections("")
@@ -161,7 +192,7 @@ func readModel(blob []byte) (*Model, error) {
 }
 
 // TestModelRoundTrip pins the in-memory round trip (Encode → OpenBytes),
-// the path index files take: no file, no mapping, same bits.
+// the path the library's Read takes: no file, no mapping, same bits.
 func TestModelRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := randomCounts(rng, 25, 15, 0.3)
@@ -212,10 +243,8 @@ func TestModelRoundTripAfterFoldAndUpdate(t *testing.T) {
 	m.FoldInTerms(randomCounts(rng, 2, 20, 0.3))
 
 	path := filepath.Join(t.TempDir(), "model.lsnp")
-	if err := WriteSnapshotFile(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, f, err := OpenSnapshotFile(path, true)
+	writeModelFile(t, path, m)
+	got, f, err := openModelFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +269,7 @@ func TestReadModelRejectsGarbage(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := OpenSnapshotFile(path, false); err == nil {
+		if _, _, err := openModelFile(path, false); err == nil {
 			t.Fatalf("expected error for %s input", name)
 		}
 	}

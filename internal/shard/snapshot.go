@@ -1,7 +1,9 @@
 // Persistent snapshots of the whole serving tier: SaveSnapshot writes
 // one snapfile container holding every shard's state; Restore rebuilds a
 // Router from it without recomputing an SVD or re-running k-means — the
-// -load-model path.
+// -load-model path. The same container is the library's database file:
+// DatabaseSections writes an unserved model as a 1-shard tier, and
+// ReadDatabase reads any tier back as one collection and one model.
 //
 // What is saved per shard is state, not caches: the LSI model (U, Σ, V,
 // global weights), the document list with global submission ordinals (a
@@ -28,6 +30,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -36,6 +39,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/dense"
 	"repro/internal/engine"
 	"repro/internal/rank"
 	"repro/internal/snapfile"
@@ -138,45 +142,79 @@ func (r *Router) SaveSnapshot(path string) error {
 	if err := r.Compact(); err != nil && !errors.Is(err, engine.ErrNoBase) {
 		return fmt.Errorf("shard: pre-save compaction: %w", err)
 	}
-	sections := make([]snapfile.Section, 0, 2+8*len(r.shards))
-	meta := routerMeta{
+	sections, err := appendHead(make([]snapfile.Section, 0, 2+8*len(r.shards)), routerMeta{
 		Version:  snapshotVersion,
 		Shards:   len(r.shards),
 		NextOrd:  r.nextOrd.Load(),
 		NextAuto: r.nextAuto.Load(),
 		Opts:     saveParseOpts(r.coll.ParseOptions()),
-	}
-	metaRaw, err := json.Marshal(meta)
+	}, r.coll.Vocab.Terms)
 	if err != nil {
 		return err
 	}
-	vocabRaw, err := json.Marshal(r.coll.Vocab.Terms)
-	if err != nil {
-		return err
-	}
-	sections = append(sections,
-		snapfile.Section{Name: "meta", Data: metaRaw},
-		snapfile.Section{Name: "vocab", Data: vocabRaw})
 	for s, e := range r.shards {
 		snap, nextID, err := e.FreezeForSnapshot()
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		ss, err := r.shardSections(s, snap, nextID)
+		sections, err = r.appendShard(sections, s, snap, nextID)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
-		sections = append(sections, ss...)
 	}
 	return snapfile.Write(path, sections)
 }
 
-// shardSections flattens one shard's frozen snapshot.
-func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snapfile.Section, error) {
-	prefix := fmt.Sprintf("s%d/", s)
-	var st shardState
-	st.Gen = snap.Gen
-	st.NextID = nextID
+// DatabaseSections returns the container of a 1-shard tier serving model
+// over coll (its documents in row order, its vocabulary and parse
+// options): what New followed by SaveSnapshot writes for the same
+// collection and model below the cluster index's row floor —
+// generation 1, ordinals 0..n−1 and counters as New starts them, no
+// cell membership. It is the library's and lsiquery's save format, so
+// what they save restores onto a server, and ReadDatabase reads it back.
+// New's view of a model holding folded rows reports every row folded;
+// here the model's own SVD provenance is kept.
+func DatabaseSections(coll *corpus.Collection, model *core.Model) ([]snapfile.Section, error) {
+	n := coll.Size()
+	if model.NumDocs() != n {
+		return nil, fmt.Errorf("shard: model has %d docs, collection %d", model.NumDocs(), n)
+	}
+	sections, err := appendHead(nil, routerMeta{
+		Version:  snapshotVersion,
+		Shards:   1,
+		NextOrd:  int64(n),
+		NextAuto: int64(n),
+		Opts:     saveParseOpts(coll.ParseOptions()),
+	}, coll.Vocab.Terms)
+	if err != nil {
+		return nil, err
+	}
+	ords := make([]int64, n)
+	for i := range ords {
+		ords[i] = int64(i)
+	}
+	return appendShardSections(sections, "s0/", shardState{Gen: 1, NextID: n}, coll.Docs, ords, model, nil)
+}
+
+// appendHead appends the tier-wide sections, meta and vocab.
+func appendHead(sections []snapfile.Section, meta routerMeta, terms []string) ([]snapfile.Section, error) {
+	metaRaw, err := json.Marshal(meta)
+	if err != nil {
+		return nil, err
+	}
+	vocabRaw, err := json.Marshal(terms)
+	if err != nil {
+		return nil, err
+	}
+	return append(sections,
+		snapfile.Section{Name: "meta", Data: metaRaw},
+		snapfile.Section{Name: "vocab", Data: vocabRaw}), nil
+}
+
+// appendShard flattens one shard's frozen snapshot: the registry gives
+// each live row its global ordinal.
+func (r *Router) appendShard(sections []snapfile.Section, s int, snap *engine.Snapshot, nextID int) ([]snapfile.Section, error) {
+	st := shardState{Gen: snap.Gen, NextID: nextID}
 	ords := make([]int64, len(snap.Docs))
 	for i, d := range snap.Docs {
 		ord := int64(-1)
@@ -195,8 +233,15 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 		}
 		ords[i] = ord
 	}
-	docsRaw := encodeDocs(snap.Docs, ords)
-	ivf := snap.Eng.Parts().IVF
+	return appendShardSections(sections, fmt.Sprintf("s%d/", s), st, snap.Docs, ords, snap.Model, snap.Eng.Parts().IVF)
+}
+
+// appendShardSections appends one shard's sections under prefix: its
+// state, its docs record and its model, then the cell membership when
+// the shard serves a cluster index.
+func appendShardSections(sections []snapfile.Section, prefix string, st shardState, docs []corpus.Document,
+	ords []int64, model *core.Model, ivf *rank.IVFParts) ([]snapfile.Section, error) {
+	docsRaw := encodeDocs(docs, ords)
 	if ivf != nil {
 		st.IVF = &ivfState{Rows: ivf.Rows, Dim: ivf.Dim, Placed: ivf.Placed}
 	}
@@ -204,14 +249,14 @@ func (r *Router) shardSections(s int, snap *engine.Snapshot, nextID int) ([]snap
 	if err != nil {
 		return nil, err
 	}
-	model, err := snap.Model.SnapshotSections(prefix)
+	modelSections, err := model.SnapshotSections(prefix)
 	if err != nil {
 		return nil, err
 	}
-	sections := append([]snapfile.Section{
-		{Name: prefix + "state", Data: stateRaw},
-		{Name: prefix + "docs", Data: docsRaw},
-	}, model...)
+	sections = append(sections,
+		snapfile.Section{Name: prefix + "state", Data: stateRaw},
+		snapfile.Section{Name: prefix + "docs", Data: docsRaw})
+	sections = append(sections, modelSections...)
 	if ivf != nil {
 		sections = append(sections,
 			snapfile.Section{Name: prefix + "counts", Data: snapfile.I32Bytes(ivf.MemberCounts)},
@@ -389,17 +434,33 @@ func snapI32(f *snapfile.File, name string) ([]int32, error) {
 	return xs, nil
 }
 
-func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
+// readHead reads the tier-wide sections: meta, and the vocabulary with
+// the saved parse options as a collection without documents.
+func readHead(f *snapfile.File) (routerMeta, *corpus.Collection, error) {
 	var meta routerMeta
 	if err := snapJSON(f, "meta", &meta); err != nil {
-		return nil, err
+		return meta, nil, err
 	}
 	if meta.Version != snapshotVersion {
-		return nil, fmt.Errorf("shard: snapshot version %d, this binary reads %d", meta.Version, snapshotVersion)
+		return meta, nil, fmt.Errorf("shard: snapshot version %d, this binary reads %d", meta.Version, snapshotVersion)
 	}
 	if meta.Shards <= 0 || meta.Shards > maxSnapshotShards {
-		return nil, fmt.Errorf("shard: corrupt snapshot shard count %d", meta.Shards)
+		return meta, nil, fmt.Errorf("shard: corrupt snapshot shard count %d", meta.Shards)
 	}
+	var terms []string
+	if err := snapJSON(f, "vocab", &terms); err != nil {
+		return meta, nil, err
+	}
+	opts := meta.Opts.parseOptions()
+	return meta, corpus.Restore(nil, text.NewVocabularyFromTerms(terms, opts), opts), nil
+}
+
+func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
+	meta, coll, err := readHead(f)
+	if err != nil {
+		return nil, err
+	}
+	vocab, opts := coll.Vocab, coll.ParseOptions()
 	if cfg.Shards != 0 && cfg.Shards != meta.Shards {
 		return nil, fmt.Errorf("shard: snapshot was saved with %d shards, cannot restore onto %d (placement is shard-count-dependent)",
 			meta.Shards, cfg.Shards)
@@ -408,14 +469,7 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	var terms []string
-	if err := snapJSON(f, "vocab", &terms); err != nil {
-		return nil, err
-	}
-	opts := meta.Opts.parseOptions()
-	vocab := text.NewVocabularyFromTerms(terms, opts)
-
-	r := &Router{cfg: cfg, coll: corpus.Restore(nil, vocab, opts)}
+	r := &Router{cfg: cfg, coll: coll}
 	r.nextOrd.Store(meta.NextOrd)
 	r.nextAuto.Store(meta.NextAuto)
 	engines, err := startShards(meta.Shards, func(s int) (*engine.Engine, error) {
@@ -439,46 +493,16 @@ func restoreFrom(f *snapfile.File, cfg Config) (*Router, error) {
 func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 	opts text.ParseOptions, engCfg engine.Config) (*engine.Engine, error) {
 	prefix := fmt.Sprintf("s%d/", s)
-	var st shardState
-	if err := snapJSON(f, prefix+"state", &st); err != nil {
-		return nil, err
-	}
-	b, err := snapBytes(f, prefix+"docs")
+	sh, err := decodeShard(f, prefix, func(_ int, d corpus.Document, ord int64) error {
+		if _, dup := r.ids.LoadOrStore(d.ID, idEntry{ord: ord, shard: s}); dup {
+			return fmt.Errorf("live document ID %q appears twice in snapshot", d.ID)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	docs, ords, err := decodeDocs(b)
-	if err != nil {
-		return nil, err
-	}
-	model, err := core.ModelFromSnapshot(f, prefix)
-	if err != nil {
-		return nil, err
-	}
-	if model.NumDocs() != len(docs) {
-		return nil, fmt.Errorf("model has %d rows, docs section %d", model.NumDocs(), len(docs))
-	}
-
-	deadSet := make(map[int]struct{}, len(st.Dead))
-	for _, row := range st.Dead {
-		if row < 0 || row >= len(docs) {
-			return nil, fmt.Errorf("dead row %d outside [0, %d)", row, len(docs))
-		}
-		deadSet[row] = struct{}{}
-	}
-	for i, d := range docs {
-		_, dead := deadSet[i]
-		if dead != (ords[i] < 0) {
-			return nil, fmt.Errorf("row %d: dead=%v but ord=%d", i, dead, ords[i])
-		}
-		if !dead {
-			if _, dup := r.ids.LoadOrStore(d.ID, idEntry{ord: ords[i], shard: s}); dup {
-				return nil, fmt.Errorf("live document ID %q appears twice in snapshot", d.ID)
-			}
-		}
-	}
-
-	if st.IVF != nil {
+	if ivf := sh.state.IVF; ivf != nil {
 		counts, err := snapI32(f, prefix+"counts")
 		if err != nil {
 			return nil, err
@@ -487,11 +511,130 @@ func (r *Router) restoreShard(f *snapfile.File, s int, vocab *text.Vocabulary,
 		if err != nil {
 			return nil, err
 		}
-		engCfg.RestoredIVF = &rank.IVFParts{Rows: st.IVF.Rows, Dim: st.IVF.Dim,
-			MemberCounts: counts, Members: members, Placed: st.IVF.Placed}
+		engCfg.RestoredIVF = &rank.IVFParts{Rows: ivf.Rows, Dim: ivf.Dim,
+			MemberCounts: counts, Members: members, Placed: ivf.Placed}
 	}
-	engCfg.InitialGen = st.Gen
-	engCfg.RestoredDead = st.Dead
-	engCfg.RestoredNextID = st.NextID
-	return engine.New(corpus.Restore(docs, vocab, opts), model, engCfg)
+	engCfg.InitialGen = sh.state.Gen
+	engCfg.RestoredDead = sh.state.Dead
+	engCfg.RestoredNextID = sh.state.NextID
+	return engine.New(corpus.Restore(sh.docs, vocab, opts), sh.model, engCfg)
+}
+
+// savedShard is one shard's state, documents and model as decodeShard
+// reads them.
+type savedShard struct {
+	state shardState
+	docs  []corpus.Document
+	model *core.Model
+}
+
+// decodeShard reads the state, docs and model sections under prefix and
+// checks them against each other: one model row per document, dead rows
+// in range, and exactly the dead rows without an ordinal. live is called
+// on every live row, in row order, with its global ordinal; its error
+// ends the decode.
+func decodeShard(f *snapfile.File, prefix string, live func(row int, d corpus.Document, ord int64) error) (savedShard, error) {
+	var st shardState
+	if err := snapJSON(f, prefix+"state", &st); err != nil {
+		return savedShard{}, err
+	}
+	b, err := snapBytes(f, prefix+"docs")
+	if err != nil {
+		return savedShard{}, err
+	}
+	docs, ords, err := decodeDocs(b)
+	if err != nil {
+		return savedShard{}, err
+	}
+	model, err := core.ModelFromSnapshot(f, prefix)
+	if err != nil {
+		return savedShard{}, err
+	}
+	if model.NumDocs() != len(docs) {
+		return savedShard{}, fmt.Errorf("model has %d rows, docs section %d", model.NumDocs(), len(docs))
+	}
+
+	deadSet := make(map[int]struct{}, len(st.Dead))
+	for _, row := range st.Dead {
+		if row < 0 || row >= len(docs) {
+			return savedShard{}, fmt.Errorf("dead row %d outside [0, %d)", row, len(docs))
+		}
+		deadSet[row] = struct{}{}
+	}
+	for i, d := range docs {
+		_, dead := deadSet[i]
+		if dead != (ords[i] < 0) {
+			return savedShard{}, fmt.Errorf("row %d: dead=%v but ord=%d", i, dead, ords[i])
+		}
+		if !dead {
+			if err := live(i, d, ords[i]); err != nil {
+				return savedShard{}, err
+			}
+		}
+	}
+	return savedShard{state: st, docs: docs, model: model}, nil
+}
+
+// ReadDatabase reads any container SaveSnapshot or DatabaseSections
+// wrote, at any shard count, as one collection (vocabulary, parse
+// options, live documents) and one model over it — the library's and
+// lsiquery's load path. Live rows merge in global-ordinal order, the
+// order the router's merge breaks score ties by (one shard keeps its
+// row order, as the router's single-shard path does); tombstoned rows
+// are dropped. Every shard must share shard 0's basis — byte-equal U, S
+// and global payloads and the same weighting — and the merged model is
+// unfolded only if every shard's is. Without a merge the model is the
+// saved one; either way U aliases f's storage.
+func ReadDatabase(f *snapfile.File) (*corpus.Collection, *core.Model, error) {
+	if _, ok := f.Section("index"); ok {
+		return nil, nil, errors.New(`shard: retired library index format (the "index" section internal/index wrote): rebuild the database and save it again`)
+	}
+	meta, coll, err := readHead(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	type liveRow struct {
+		shard, row int
+		ord        int64
+	}
+	var rows []liveRow
+	shards := make([]savedShard, meta.Shards)
+	unfolded := true
+	for s := range shards {
+		prefix := fmt.Sprintf("s%d/", s)
+		sh, err := decodeShard(f, prefix, func(row int, _ corpus.Document, ord int64) error {
+			rows = append(rows, liveRow{shard: s, row: row, ord: ord})
+			return nil
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		for _, name := range []string{"U", "S", "global"} {
+			a, _ := f.Section("s0/" + name)
+			if b, _ := f.Section(prefix + name); !bytes.Equal(a, b) {
+				return nil, nil, fmt.Errorf("shard: section %q differs from shard 0's: the shards do not share one basis", prefix+name)
+			}
+		}
+		if s > 0 && sh.model.Scheme != shards[0].model.Scheme {
+			return nil, nil, fmt.Errorf("shard %d: weighting %v differs from shard 0's %v", s, sh.model.Scheme, shards[0].model.Scheme)
+		}
+		shards[s] = sh
+		unfolded = unfolded && sh.model.FoldedDocs() == 0
+	}
+	first := shards[0]
+	if len(shards) == 1 && len(rows) == len(first.docs) {
+		coll.Docs = first.docs
+		return coll, first.model, nil
+	}
+	if len(shards) > 1 {
+		sort.Slice(rows, func(i, j int) bool { return rows[i].ord < rows[j].ord })
+	}
+	coll.Docs = make([]corpus.Document, len(rows))
+	v := dense.New(len(rows), first.model.K)
+	for i, lr := range rows {
+		sh := shards[lr.shard]
+		coll.Docs[i] = sh.docs[lr.row]
+		copy(v.Row(i), sh.model.V.Row(lr.row))
+	}
+	return coll, first.model.WithDocRows(v, unfolded), nil
 }

@@ -10,20 +10,25 @@
 //	related, _ := idx.RelatedTerms("matrix", 5)       // online thesaurus
 //	err = idx.Save("corpus.lsi")                      // persist the database
 //
-// The facade wraps internal/core (the factor model), internal/corpus
-// (parsing and the term–document matrix) and internal/index (persistence);
-// applications needing the full surface — SVD-updating phases, filtering
-// profiles, cross-language spaces, the evaluation harness — use those
-// packages directly.
+// The facade wraps internal/core (the factor model) and internal/corpus
+// (parsing and the term–document matrix); applications needing the full
+// surface — SVD-updating phases, filtering profiles, cross-language
+// spaces, the evaluation harness — use those packages directly.
+//
+// A saved database is the serving tier's model snapshot (internal/shard)
+// with one shard: lsiserver -load-model serves what Save writes, and
+// Load reads what lsiserver -save-model writes, at any shard count.
 package lsi
 
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/index"
+	"repro/internal/shard"
+	"repro/internal/snapfile"
 	"repro/internal/text"
 	"repro/internal/weight"
 )
@@ -59,10 +64,12 @@ type Hit struct {
 	Cosine float64
 }
 
-// Idx is a queryable LSI database.
+// Idx is a queryable LSI database: the factor model and a collection
+// holding the vocabulary, the parse options and one document per row
+// of V, folded-in additions included.
 type Idx struct {
-	inner *index.Index
-	docs  []Document
+	coll  *corpus.Collection
+	model *core.Model
 }
 
 // Index builds an LSI database over the documents.
@@ -86,27 +93,32 @@ func Index(docs []Document, opts Options) (*Idx, error) {
 	for i, d := range docs {
 		cdocs[i] = corpus.Document{ID: d.ID, Text: d.Text}
 	}
-	inner, err := index.Build(cdocs,
-		text.ParseOptions{MinDocs: minDocs, IncludeBigrams: opts.Bigrams},
-		core.Config{K: k, Scheme: scheme, Seed: opts.Seed})
+	// The stopword set is given explicitly, so a saved database records
+	// the list it was parsed with, not "the default".
+	coll := corpus.New(cdocs, text.ParseOptions{MinDocs: minDocs, IncludeBigrams: opts.Bigrams, Stopwords: text.Stopwords()})
+	if coll.Terms() == 0 {
+		return nil, fmt.Errorf("lsi: no indexable terms in %d documents", len(docs))
+	}
+	model, err := core.BuildCollection(coll, core.Config{K: k, Scheme: scheme, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("lsi: %w", err)
 	}
-	return &Idx{inner: inner, docs: append([]Document(nil), docs...)}, nil
+	coll.TD = nil // the SVD's input only: queries and fold-ins need the vocabulary
+	return &Idx{coll: coll, model: model}, nil
 }
 
 // Search returns the n documents most similar to the free-text query,
 // best first. Queries whose words are all unindexed return nil.
 func (x *Idx) Search(query string, n int) []Hit {
-	counts := x.inner.Coll.QueryCounts(query)
+	counts := x.coll.QueryCounts(query)
 	if len(counts.Idx) == 0 {
 		return nil
 	}
-	m := x.inner.Model
+	m := x.model
 	ranked := m.RankVectorTop(m.ProjectSparse(counts, nil), n)
 	out := make([]Hit, len(ranked))
 	for i, r := range ranked {
-		out[i] = Hit{ID: x.docs[r.Doc].ID, Text: x.docs[r.Doc].Text, Cosine: r.Score}
+		out[i] = Hit{ID: x.coll.Docs[r.Doc].ID, Text: x.coll.Docs[r.Doc].Text, Cosine: r.Score}
 	}
 	return out
 }
@@ -118,11 +130,11 @@ func (x *Idx) Search(query string, n int) []Hit {
 // to query i; queries with no indexed words get an empty slice.
 func (x *Idx) SearchBatch(queries []string, n int) [][]Hit {
 	out := make([][]Hit, len(queries))
-	m := x.inner.Model
+	m := x.model
 	qhats := make([][]float64, 0, len(queries))
 	slots := make([]int, 0, len(queries))
 	for i, q := range queries {
-		counts := x.inner.Coll.QueryCounts(q)
+		counts := x.coll.QueryCounts(q)
 		if len(counts.Idx) == 0 {
 			out[i] = []Hit{}
 			continue
@@ -133,7 +145,7 @@ func (x *Idx) SearchBatch(queries []string, n int) [][]Hit {
 	for bi, ranked := range m.RankVectorBatch(qhats, n) {
 		hits := make([]Hit, len(ranked))
 		for j, r := range ranked {
-			hits[j] = Hit{ID: x.docs[r.Doc].ID, Text: x.docs[r.Doc].Text, Cosine: r.Score}
+			hits[j] = Hit{ID: x.coll.Docs[r.Doc].ID, Text: x.coll.Docs[r.Doc].Text, Cosine: r.Score}
 		}
 		out[slots[bi]] = hits
 	}
@@ -145,7 +157,7 @@ func (x *Idx) SearchBatch(queries []string, n int) [][]Hit {
 // reference document itself is excluded.
 func (x *Idx) SearchSimilar(id string, n int) ([]Hit, error) {
 	ref := -1
-	for j, d := range x.docs {
+	for j, d := range x.coll.Docs {
 		if d.ID == id {
 			ref = j
 			break
@@ -155,13 +167,13 @@ func (x *Idx) SearchSimilar(id string, n int) ([]Hit, error) {
 		return nil, fmt.Errorf("lsi: no document %q", id)
 	}
 	// n+1 covers the reference document occupying one of the top slots.
-	ranked := x.inner.Model.RankVectorTop(x.inner.Model.DocVector(ref), n+1)
+	ranked := x.model.RankVectorTop(x.model.DocVector(ref), n+1)
 	out := make([]Hit, 0, n)
 	for _, r := range ranked {
 		if r.Doc == ref {
 			continue
 		}
-		out = append(out, Hit{ID: x.docs[r.Doc].ID, Text: x.docs[r.Doc].Text, Cosine: r.Score})
+		out = append(out, Hit{ID: x.coll.Docs[r.Doc].ID, Text: x.coll.Docs[r.Doc].Text, Cosine: r.Score})
 		if len(out) == n {
 			break
 		}
@@ -172,8 +184,9 @@ func (x *Idx) SearchSimilar(id string, n int) ([]Hit, error) {
 // Add folds a new document into the database (Eq 7). Cheap, but repeated
 // additions degrade the factors; Staleness reports how far gone they are.
 func (x *Idx) Add(d Document) {
-	x.inner.AddFolded(corpus.Document{ID: d.ID, Text: d.Text})
-	x.docs = append(x.docs, d)
+	cd := corpus.Document{ID: d.ID, Text: d.Text}
+	x.model.FoldInDocs(x.coll.DocVectors([]corpus.Document{cd}))
+	x.coll.Docs = append(x.coll.Docs, cd)
 }
 
 // Staleness returns ‖V̂ᵀV̂−I‖_F, the §4.3 measure of distortion introduced
@@ -181,13 +194,13 @@ func (x *Idx) Add(d Document) {
 // rebuild (or SVD-update via internal/core) when it grows large relative
 // to 1.
 func (x *Idx) Staleness() float64 {
-	return x.inner.Model.DocOrthogonality()
+	return x.model.DocOrthogonality()
 }
 
 // RelatedTerms returns the n indexed terms nearest to the given term in
 // the latent space — the automatically constructed thesaurus of §5.4.
 func (x *Idx) RelatedTerms(term string, n int) ([]string, error) {
-	i, ok := x.inner.Coll.Vocab.Index[term]
+	i, ok := x.coll.Vocab.Index[term]
 	if !ok {
 		return nil, fmt.Errorf("lsi: %q is not an indexed term", term)
 	}
@@ -196,11 +209,11 @@ func (x *Idx) RelatedTerms(term string, n int) ([]string, error) {
 		s    float64
 	}
 	best := make([]scored, 0, n+1)
-	for j, w := range x.inner.Coll.Vocab.Terms {
+	for j, w := range x.coll.Vocab.Terms {
 		if j == i {
 			continue
 		}
-		s := x.inner.Model.TermSimilarity(i, j)
+		s := x.model.TermSimilarity(i, j)
 		// Insertion into the running top-n.
 		pos := len(best)
 		for pos > 0 && best[pos-1].s < s {
@@ -224,39 +237,66 @@ func (x *Idx) RelatedTerms(term string, n int) ([]string, error) {
 
 // Terms returns the number of indexed terms; Docs the number of documents
 // (including added ones); Factors the rank k of the model.
-func (x *Idx) Terms() int   { return x.inner.Coll.Terms() }
-func (x *Idx) Docs() int    { return len(x.docs) }
-func (x *Idx) Factors() int { return x.inner.Model.K }
+func (x *Idx) Terms() int   { return x.coll.Terms() }
+func (x *Idx) Docs() int    { return x.coll.Size() }
+func (x *Idx) Factors() int { return x.model.K }
 
-// Save persists the database to a file; Load restores it.
-func (x *Idx) Save(path string) error { return x.inner.Save(path) }
+// Save persists the database to a file, replacing it atomically (the
+// old file survives a failed save); Load restores it.
+func (x *Idx) Save(path string) error {
+	sections, err := shard.DatabaseSections(x.coll, x.model)
+	if err != nil {
+		return err
+	}
+	return snapfile.Write(path, sections)
+}
 
 // WriteTo serializes the database to a writer.
-func (x *Idx) WriteTo(w io.Writer) (int64, error) { return x.inner.WriteTo(w) }
+func (x *Idx) WriteTo(w io.Writer) (int64, error) {
+	sections, err := shard.DatabaseSections(x.coll, x.model)
+	if err != nil {
+		return 0, err
+	}
+	blob, err := snapfile.Encode(sections)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(blob)
+	return int64(n), err
+}
 
-// Load restores a database saved by Save.
+// Load restores a database saved by Save, or a model snapshot that
+// lsiserver -save-model wrote at any shard count.
 func Load(path string) (*Idx, error) {
-	inner, err := index.Load(path)
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return fromInner(inner)
+	return open(blob)
 }
 
 // Read restores a database from a reader.
 func Read(r io.Reader) (*Idx, error) {
-	inner, err := index.Read(r)
+	blob, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lsi: %w", err)
 	}
-	return fromInner(inner)
+	return open(blob)
 }
 
-func fromInner(inner *index.Index) (*Idx, error) {
-	docs := make([]Document, 0, inner.NumDocs())
-	for j := 0; j < inner.NumDocs(); j++ {
-		d := inner.Doc(j)
-		docs = append(docs, Document{ID: d.ID, Text: d.Text})
+// open reads a whole container image: every checksum is verified, and
+// the database keeps the image as its storage, so nothing needs closing.
+func open(blob []byte) (*Idx, error) {
+	f, err := snapfile.OpenBytes(blob)
+	if err != nil {
+		return nil, fmt.Errorf("lsi: %w", err)
 	}
-	return &Idx{inner: inner, docs: docs}, nil
+	if err := f.VerifyAll(); err != nil {
+		return nil, fmt.Errorf("lsi: %w", err)
+	}
+	coll, model, err := shard.ReadDatabase(f)
+	if err != nil {
+		return nil, fmt.Errorf("lsi: %w", err)
+	}
+	return &Idx{coll: coll, model: model}, nil
 }
